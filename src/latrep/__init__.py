@@ -15,8 +15,7 @@ from .padic import (Place, REAL, SpaceInvariants, JordanComponent,
                     legendre, ord_p, relevant_places, space_invariants,
                     space_represents, squarefree_class, unit_part)
 from .enumeration import (Embedding, ShortVectorReport, extend_representation,
-                          find_representations, imprimitivity_bound,
-                          lattice_minimum, lll_reduce,
+                          find_representations, lattice_minimum, lll_reduce,
                           search_primitive_superlattice, short_vectors,
                           vectors_of_norm)
 from .localrep import (LocalRepCertificate, NOT_REPRESENTABLE, REPRESENTABLE,

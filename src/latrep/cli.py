@@ -2,7 +2,8 @@
 
 Subcommands: invariants, jordan, localrep, isotropy, minimum, represent,
 extend, genus, check, scan.  Exit codes: 0 computed, 1 hypotheses fail or
-target not represented, 2 input error, 3 undecided local certificate.
+target not represented, 2 input error, 3 undecided local certificate,
+4 internal failure (traceback and a JSON error record on stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .enumeration import (Embedding, extend_representation,
                           find_representations, lattice_minimum)
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
+EXIT_INTERNAL = 4
 
 J_HELP = ("bound on ord_q(det T).  Note the off-by-one between the two "
           "standard phrasings: the divisibility form 'q^j does not divide "
@@ -263,6 +266,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:
+        # a failed internal check must not read as "not represented"
+        traceback.print_exc(file=sys.stderr)
+        sys.stderr.write(json.dumps({"schema_version": 1, "error": "internal",
+                                     "type": type(exc).__name__,
+                                     "message": str(exc)}) + "\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

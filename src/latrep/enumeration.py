@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .matrices import (GramMatrix, IntMatrix, det, elementary_divisors,
-                       gram_of_columns, inner_product, invert_unimodular,
-                       is_positive_definite, column_hnf, saturate,
-                       smith_normal_form, solve_integer_columns)
+from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, column_hnf,
+                       det_int, elementary_divisors, gram_of_columns,
+                       inner_product, invert_unimodular, is_positive_definite,
+                       saturate, smith_normal_form, solve_integer_columns,
+                       solve_rational)
 
 DELTA = Fraction(3, 4)  # LLL parameter
 
@@ -24,15 +26,16 @@ DELTA = Fraction(3, 4)  # LLL parameter
 # ---------------------------------------------------------------------------
 # LLL reduction on a Gram matrix
 
-def _gram_schmidt(S: GramMatrix, basis: list[list[int]]):
-    """Rational Gram-Schmidt data (mu, B*) of basis vectors w.r.t. S."""
-    n = len(basis)
+def _gram_schmidt(gram: GramMatrix):
+    """Rational Gram-Schmidt data (mu, B*) of the basis with this Gram
+    matrix, so that Q(x) = sum_i B*_i (x_i + sum_{k>i} mu[k][i] x_k)^2."""
+    g = gram.entries
+    n = gram.n
     mu = [[Fraction(0)] * n for _ in range(n)]
     norms = [Fraction(0)] * n
-    g = [[Fraction(inner_product(S, basis[i], basis[j])) for j in range(n)]
-         for i in range(n)]
     for i in range(n):
-        norms[i] = g[i][i] - sum(mu[i][j] * mu[i][j] * norms[j] for j in range(i))
+        norms[i] = Fraction(g[i][i]) - sum(mu[i][j] * mu[i][j] * norms[j]
+                                           for j in range(i))
         for k in range(i + 1, n):
             mu[k][i] = (g[k][i] - sum(mu[k][j] * mu[i][j] * norms[j]
                                       for j in range(i))) / norms[i]
@@ -45,19 +48,23 @@ def lll_reduce(S: GramMatrix, delta: Fraction = DELTA) -> tuple[GramMatrix, IntM
         raise ValueError("LLL requires a positive definite form")
     n = S.n
     basis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
-    mu, norms = _gram_schmidt(S, basis)
+
+    def gram_schmidt():
+        return _gram_schmidt(gram_of_columns(S, IntMatrix.from_columns(basis)))
+
+    mu, norms = gram_schmidt()
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
             q = (mu[k][j] + Fraction(1, 2)).__floor__()
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                mu, norms = _gram_schmidt(S, basis)
+                mu, norms = gram_schmidt()
         if norms[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
             k += 1
         else:
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, norms = _gram_schmidt(S, basis)
+            mu, norms = gram_schmidt()
             k = max(k - 1, 1)
     U = IntMatrix.from_columns(basis)
     return gram_of_columns(S, U), U
@@ -76,28 +83,10 @@ def _floor_c_plus_sqrt(c: Fraction, t: Fraction) -> int:
         z -= 1
 
 
-def _cholesky(gram: GramMatrix):
-    """q, mu with Q(x) = sum_i q_i (x_i + sum_{j>i} mu_ij x_j)^2."""
-    n = gram.n
-    a = [[Fraction(x) for x in row] for row in gram.entries]
-    q = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        q[i] = a[i][i]
-        if q[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            mu[i][j] = a[i][j] / q[i]
-        for r in range(i + 1, n):
-            for s in range(i + 1, n):
-                a[r][s] -= a[r][i] * a[i][s] / q[i]
-    return q, mu
-
-
 def _enumerate_reduced(gram: GramMatrix, bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All nonzero x with Q(x) <= bound in the given coordinates (both signs)."""
     n = gram.n
-    q, mu = _cholesky(gram)
+    mu, q = _gram_schmidt(gram)
     x = [0] * n
 
     def rec(i: int, remaining: Fraction) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -106,7 +95,7 @@ def _enumerate_reduced(gram: GramMatrix, bound: int) -> Iterator[tuple[tuple[int
                 val = bound - remaining  # == Q(x); exact since all terms rational
                 yield tuple(x), int(val)
             return
-        center = sum(mu[i][j] * x[j] for j in range(i + 1, n))
+        center = sum(mu[j][i] * x[j] for j in range(i + 1, n))
         radius2 = remaining / q[i]
         hi = _floor_c_plus_sqrt(-center, radius2)
         lo = -_floor_c_plus_sqrt(center, radius2)
@@ -139,23 +128,18 @@ class ShortVectorReport:
                 "vectors": [list(v) for v in self.vectors]}
 
 
-_short_cache: dict[tuple, tuple] = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def _short_vectors_raw(S: GramMatrix, bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Canonical-sign vectors with 0 < Q <= bound, with their values; cached."""
-    key = (S.entries, bound)
-    if key not in _short_cache:
-        reduced, U = lll_reduce(S)
-        out = []
-        for v, val in _enumerate_reduced(reduced, bound):
-            w = tuple(sum(U.entries[i][j] * v[j] for j in range(S.n))
-                      for i in range(S.n))
-            if _canonical_sign(w):
-                out.append((w, val))
-        out.sort(key=lambda t: (t[1], t[0]))
-        _short_cache[key] = tuple(out)
-    return _short_cache[key]
+    reduced, U = lll_reduce(S)
+    out = []
+    for v, val in _enumerate_reduced(reduced, bound):
+        w = tuple(sum(U.entries[i][j] * v[j] for j in range(S.n))
+                  for i in range(S.n))
+        if _canonical_sign(w):
+            out.append((w, val))
+    out.sort(key=lambda t: (t[1], t[0]))
+    return tuple(out)
 
 
 def short_vectors(S: GramMatrix, bound: int) -> ShortVectorReport:
@@ -195,14 +179,14 @@ def _enumerate_exact(gram: GramMatrix, t,
     remaining-value equation instead of scanning an interval, so the cost
     tracks the sphere, not the ball."""
     n = gram.n
-    q, mu = _cholesky(gram)
+    mu, q = _gram_schmidt(gram)
     affine = shift is not None
     s0 = shift if affine else [Fraction(0)] * n
     x = [0] * n
     z = list(s0)  # z[j] = x[j] + s0[j]
 
     def rec(i: int, remaining: Fraction) -> Iterator[tuple[int, ...]]:
-        center = s0[i] + sum(mu[i][j] * z[j] for j in range(i + 1, n))
+        center = s0[i] + sum(mu[j][i] * z[j] for j in range(i + 1, n))
         if i == 0:
             root = _is_square(remaining / q[0])
             if root is None:
@@ -265,14 +249,9 @@ class _NormStream:
             self._seen.append(v)
 
 
-_norm_streams: dict[tuple, _NormStream] = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def _vectors_of_norm_iter(S: GramMatrix, t: int) -> _NormStream:
-    key = (S.entries, t)
-    if key not in _norm_streams:
-        _norm_streams[key] = _NormStream(S, t)
-    return _norm_streams[key]
+    return _NormStream(S, t)
 
 
 def vectors_of_norm(S: GramMatrix, t: int) -> ShortVectorReport:
@@ -313,19 +292,6 @@ class Embedding:
                 "X": self.X.to_lists(),
                 "elementary_divisors": list(self.elementary_divisors),
                 "imprimitivity_bound": self.imprimitivity_bound}
-
-
-def imprimitivity_bound(E: Embedding) -> int:
-    """Smallest c with c (W cap Lambda) inside the image; equals the largest
-    elementary divisor of the saturation inclusion."""
-    return E.imprimitivity_bound
-
-
-def _column_candidates(S: GramMatrix, norm: int, canonical_only: bool):
-    for v in _vectors_of_norm_iter(S, norm):
-        yield v
-        if not canonical_only:
-            yield tuple(-x for x in v)
 
 
 def _solve_linear_over_Z(A: IntMatrix, rhs: list[int]
@@ -378,7 +344,7 @@ def _constrained_candidates(S: GramMatrix, prior: list[tuple[int, ...]],
     cvec = [sum(B.entries[i][r] * sum(S.entries[i2][i] * x0[i2]
                                       for i2 in range(n))
                 for i in range(n)) for r in range(d)]
-    mu = _solve_fraction_system(Gred, cvec)
+    mu = [row[0] for row in solve_rational(Gred.entries, [[x] for x in cvec])]
     q0 = inner_product(S, tuple(x0), tuple(x0))
     target = Fraction(norm) - q0 + sum(c * m for c, m in zip(cvec, mu))
     if target < 0:
@@ -388,55 +354,30 @@ def _constrained_candidates(S: GramMatrix, prior: list[tuple[int, ...]],
                     for i in range(n))
 
 
-def _solve_fraction_system(G: GramMatrix, rhs: list[int]) -> list[Fraction]:
-    """Solve G mu = rhs over Q for nonsingular G."""
-    n = G.n
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-         for i, row in enumerate(G.entries)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def _search_embeddings(S: GramMatrix, T: GramMatrix, c: int,
-                       limit: int | None,
-                       fixed: list[tuple[int, ...]] | None = None
-                       ) -> list[IntMatrix]:
-    """Backtracking over columns; fixed columns (if any) are a prescribed
-    prefix and exempt from sign canonicalization."""
+def _column_search(S: GramMatrix, T: GramMatrix,
+                   fixed: Sequence[tuple[int, ...]] = ()) -> Iterator[IntMatrix]:
+    """Every X with X^t S X = T whose first columns are `fixed`, by
+    backtracking over columns.  With nothing fixed, X is found up to the
+    global sign: its first column has its first nonzero entry positive."""
     m = T.n
-    fixed = fixed or []
-    k0 = len(fixed)
-    found: list[IntMatrix] = []
+    chosen = list(fixed)
 
-    def backtrack(k: int, chosen: list[tuple[int, ...]]):
-        if limit is not None and len(found) >= limit:
-            return
+    def extend(k: int) -> Iterator[IntMatrix]:
         if k == m:
-            found.append(IntMatrix.from_columns(chosen))
+            yield IntMatrix.from_columns(chosen)
             return
         if k == 0:
-            candidates = _column_candidates(S, T.entries[0][0], True)
+            candidates = _vectors_of_norm_iter(S, T.entries[0][0])
         else:
             candidates = _constrained_candidates(
                 S, chosen, [T.entries[j][k] for j in range(k)],
                 T.entries[k][k])
         for v in candidates:
             chosen.append(v)
-            backtrack(k + 1, chosen)
+            yield from extend(k + 1)
             chosen.pop()
-            if limit is not None and len(found) >= limit:
-                return
 
-    backtrack(k0, list(fixed))
-    return found
+    yield from extend(len(chosen))
 
 
 def find_representations(S: GramMatrix, T: GramMatrix, c: int = 1,
@@ -448,36 +389,14 @@ def find_representations(S: GramMatrix, T: GramMatrix, c: int = 1,
     if T.n > S.n:
         raise ValueError("target rank exceeds ambient rank")
     out: list[Embedding] = []
-
-    def emit(X: IntMatrix) -> bool:
+    # the divisor filter sits outside the column search, so ask for
+    # matrices until enough filtered embeddings have been collected
+    for X in _column_search(S, T):
         emb = Embedding.build(S, T, X)
         if c % emb.imprimitivity_bound == 0:
             out.append(emb)
-        return limit is not None and len(out) >= limit
-
-    # the divisor filter sits outside the column search, so ask for
-    # matrices until enough filtered embeddings have been collected
-    m = T.n
-    fixed: list[tuple[int, ...]] = []
-
-    def backtrack(k: int, chosen: list[tuple[int, ...]]) -> bool:
-        if k == m:
-            return emit(IntMatrix.from_columns(chosen))
-        if k == 0:
-            candidates = _column_candidates(S, T.entries[0][0], True)
-        else:
-            candidates = _constrained_candidates(
-                S, chosen, [T.entries[j][k] for j in range(k)],
-                T.entries[k][k])
-        for v in candidates:
-            chosen.append(v)
-            stop = backtrack(k + 1, chosen)
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    backtrack(0, fixed)
+        if limit is not None and len(out) >= limit:
+            break
     return out
 
 
@@ -495,29 +414,28 @@ def extend_representation(S: GramMatrix, sigma: Embedding, T_M: GramMatrix,
         raise ValueError("glue shape mismatch")
     if gram_of_columns(T_M, glue).entries != sigma.source.entries:
         raise ValueError("glue Gram does not match sigma's source")
-    if m == r and abs(det_of(glue)) == 1:
+    if m == r and abs(det_int(glue)) == 1:
         # trivial extension: M = R up to basis change
         ginv = invert_unimodular(glue)
         return Embedding.build(S, T_M, sigma.X @ ginv)
 
     sat = saturate(glue)
     coords = solve_integer_columns(sat, glue)  # glue = sat @ coords
-    # tau on the saturation basis is forced over Q; it must be integral
-    cinv = _fraction_inverse(coords)
-    xb = _matmul_fraction(sigma.X, cinv)
-    if xb is None:
+    # tau on the saturation basis is forced over Q: xb = sigma.X coords^-1,
+    # which must be integral
+    xbt = solve_integer_columns(coords.transpose(), sigma.X.transpose())
+    if xbt is None:
         return None
+    xb = xbt.transpose()
     # complete the saturation basis to a unimodular basis of Z^m
     snf = smith_normal_form(sat)
     uinv = invert_unimodular(snf.U)
     completion = [uinv.column(j) for j in range(r, m)]
     P = IntMatrix.from_columns([sat.column(j) for j in range(r)] + completion)
     Tp = gram_of_columns(T_M, P)  # Gram of M in the adapted basis
-    matches = _search_embeddings(S, Tp, 1, limit=1,
-                                 fixed=[tuple(col) for col in xb.columns()])
-    if not matches:
+    X_adapted = next(_column_search(S, Tp, fixed=xb.columns()), None)
+    if X_adapted is None:
         return None
-    X_adapted = matches[0]
     X = X_adapted @ invert_unimodular(P)
     tau = Embedding.build(S, T_M, X)
     if (tau.X @ glue).entries != sigma.X.entries:
@@ -525,55 +443,8 @@ def extend_representation(S: GramMatrix, sigma: Embedding, T_M: GramMatrix,
     return tau
 
 
-def det_of(M: IntMatrix) -> int:
-    from .matrices import det_int
-    return det_int(M)
-
-
-def _fraction_inverse(M: IntMatrix) -> list[list[Fraction]]:
-    n = M.rows
-    a = [[Fraction(x) for x in row] for row in M.entries]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular coordinate matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return inv
-
-
-def _matmul_fraction(X: IntMatrix, F: list[list[Fraction]]) -> IntMatrix | None:
-    """X (int) times F (fractions); None if the product is not integral."""
-    rows, inner = X.rows, X.cols
-    cols = len(F[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            v = sum(Fraction(X.entries[i][k]) * F[k][j] for k in range(inner))
-            if v.denominator != 1:
-                return None
-            row.append(v.numerator)
-        out.append(row)
-    return IntMatrix(out)
-
-
 # ---------------------------------------------------------------------------
 # superlattice search (desk-scale witness finder)
-
-def _prime_factors(n: int) -> list[int]:
-    import sympy
-    return sorted(sympy.factorint(n).keys())
-
 
 def superlattices_of_prime_index(G: GramMatrix, d: int) -> list[tuple[GramMatrix, IntMatrix]]:
     """Integral superlattices of index d (prime) of the lattice with Gram G.
@@ -594,12 +465,12 @@ def superlattices_of_prime_index(G: GramMatrix, d: int) -> list[tuple[GramMatrix
         gens = [[d if i == j else 0 for i in range(m)] for j in range(m)] + [list(x)]
         H = column_hnf(IntMatrix.from_columns(gens))
         # new basis columns are H/d in old coordinates; old basis inside new:
-        # solve (H/d) Y = I  =>  Y = d H^{-1}
-        hinv = _fraction_inverse(H)
-        Y = [[hinv[i][j] * d for j in range(m)] for i in range(m)]
-        if any(v.denominator != 1 for row in Y for v in row):
+        # solve (H/d) Y = I  =>  H Y = d I
+        inclusion = solve_integer_columns(
+            H, IntMatrix([[d if i == j else 0 for j in range(m)]
+                          for i in range(m)]))
+        if inclusion is None:
             raise AssertionError("old lattice not contained in new one")
-        inclusion = IntMatrix([[v.numerator for v in row] for row in Y])
         gram_rows = _rational_congruence(G, H, d)
         key = tuple(map(tuple, gram_rows))
         if key in seen:

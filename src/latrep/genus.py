@@ -10,14 +10,16 @@ auxiliary prime can be supplied to probe for further genus classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import sympy
 
 from .enumeration import (find_representations, lattice_minimum, lll_reduce,
                           vectors_of_norm)
-from .matrices import (GramMatrix, IntMatrix, column_hnf, det,
+from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, column_hnf, det,
                        gram_of_columns, inner_product, invert_unimodular)
-from .padic import jordan_decomposition, squarefree_class
+from .padic import (Place, jordan_decomposition, space_invariants,
+                    squarefree_class)
 
 
 @dataclass(frozen=True)
@@ -41,18 +43,11 @@ def spinor_norm_reflection(S: GramMatrix, v) -> SpinorNormClass:
 # ---------------------------------------------------------------------------
 # isometry testing
 
-_fingerprint_cache: dict = {}
-
-
-def _fingerprint(S: GramMatrix):
-    key = S.entries
-    if key not in _fingerprint_cache:
-        reduced, _ = lll_reduce(S)
-        mu = lattice_minimum(S)
-        count = len(vectors_of_norm(S, mu).vectors)
-        diag = tuple(sorted(reduced.entries[i][i] for i in range(S.n)))
-        _fingerprint_cache[key] = (det(S), mu, count, diag)
-    return _fingerprint_cache[key]
+@lru_cache(maxsize=CACHE_SIZE)
+def _fingerprint(S: GramMatrix) -> tuple[int, int, int]:
+    """Isometry invariants: det, minimum and number of minimal vectors."""
+    mu = lattice_minimum(S)
+    return det(S), mu, len(vectors_of_norm(S, mu).vectors)
 
 
 def is_isometric(S1: GramMatrix, S2: GramMatrix) -> IntMatrix | None:
@@ -211,7 +206,12 @@ class GenusRecord:
 
 
 def _genus_symbol(S: GramMatrix, primes) -> tuple:
-    return tuple(jordan_decomposition(S, p).symbol() for p in primes)
+    """Genus invariants at the given primes: the Jordan symbols, the
+    determinant square class and the Hasse invariants."""
+    inv = space_invariants(S)
+    return (tuple(jordan_decomposition(S, p).symbol() for p in primes),
+            inv.det_class,
+            tuple(inv.hasse_at(Place.finite(p)) for p in primes))
 
 
 def enumerate_genus(S: GramMatrix, p: int, class_cap: int = 64,

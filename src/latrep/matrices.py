@@ -13,6 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+# Bound on every memo table in the package.
+CACHE_SIZE = 4096
+
 
 def _freeze(rows) -> tuple[tuple[int, ...], ...]:
     out = tuple(tuple(int(x) for x in row) for row in rows)
@@ -181,7 +184,7 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=CACHE_SIZE)
 def _det_cached(entries: tuple[tuple[int, ...], ...]) -> int:
     return _det_bareiss([list(r) for r in entries])
 
@@ -305,39 +308,44 @@ def elementary_divisors(X: IntMatrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rational helpers (internal)
+# rational linear systems
 
-def _frac_rows(M: IntMatrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in M.entries]
-
-
-def invert_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = M.rows
-    if n != M.cols:
-        raise ValueError("inverse of a non-square matrix")
-    a = _frac_rows(M)
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def solve_rational(A: Sequence[Sequence[int]],
+                   B: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """Y with A Y = B over Q, by Gauss-Jordan elimination; A square and
+    nonsingular, B with as many rows as A."""
+    n = len(A)
+    a = [[Fraction(x) for x in A[i]] + [Fraction(x) for x in B[i]]
+         for i in range(n)]
     for col in range(n):
         pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
         if pivot is None:
             raise ValueError("matrix is singular")
         a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
         pv = a[col][col]
         a[col] = [x / pv for x in a[col]]
-        inv[col] = [x / pv for x in inv[col]]
         for i in range(n):
             if i != col and a[i][col] != 0:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([x.numerator for x in row])
-    return IntMatrix(out)
+    return [row[n:] for row in a]
+
+
+def integral(Y: Sequence[Sequence[Fraction]]) -> IntMatrix | None:
+    """Y as an integer matrix, or None when some entry is not an integer."""
+    if any(x.denominator != 1 for row in Y for x in row):
+        return None
+    return IntMatrix([[x.numerator for x in row] for row in Y])
+
+
+def invert_unimodular(M: IntMatrix) -> IntMatrix:
+    """Exact inverse of an integer matrix with determinant +-1."""
+    if M.rows != M.cols:
+        raise ValueError("inverse of a non-square matrix")
+    inv = integral(solve_rational(M.entries, IntMatrix.identity(M.rows).entries))
+    if inv is None:
+        raise ValueError("matrix is not unimodular")
+    return inv
 
 
 def solve_integer_columns(B: IntMatrix, X: IntMatrix) -> IntMatrix | None:
@@ -346,29 +354,8 @@ def solve_integer_columns(B: IntMatrix, X: IntMatrix) -> IntMatrix | None:
     B must have full column rank.
     """
     bt = B.transpose()
-    g = bt @ B  # positive semidefinite Gramian, invertible iff full column rank
-    n = g.rows
-    rhs = bt @ X
-    a = _frac_rows(g)
-    y = _frac_rows(rhs)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("B is rank-deficient")
-        a[col], a[pivot] = a[pivot], a[col]
-        y[col], y[pivot] = y[pivot], y[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        y[col] = [x / pv for x in y[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * z for x, z in zip(a[i], a[col])]
-                y[i] = [x - f * z for x, z in zip(y[i], y[col])]
-    for row in y:
-        if any(x.denominator != 1 for x in row):
-            return None
-    return IntMatrix([[x.numerator for x in row] for row in y])
+    # B^t B is invertible iff B has full column rank
+    return integral(solve_rational((bt @ B).entries, (bt @ X).entries))
 
 
 # ---------------------------------------------------------------------------

@@ -243,11 +243,13 @@ class JordanSplitting:
         p = self.prime.p
         out = []
         for comp in self.components:
-            d = det(comp.unit_block)
             if p == 2:
-                out.append((comp.scale, comp.rank, d % 8, comp.even))
+                # scale, rank and type are the 2-adic Jordan invariants
+                # (O'Meara 91:9); det(unit block) mod 8 depends on the basis
+                out.append((comp.scale, comp.rank, comp.even))
             else:
-                out.append((comp.scale, comp.rank, legendre(d, p)))
+                out.append((comp.scale, comp.rank,
+                            legendre(det(comp.unit_block), p)))
         return tuple(out)
 
 

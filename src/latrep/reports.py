@@ -18,7 +18,7 @@ from typing import Iterator
 
 import sympy
 
-from .enumeration import Embedding, find_representations, lattice_minimum
+from .enumeration import Embedding, lattice_minimum
 from .genus import enumerate_genus, represented_by_all_classes
 from .localrep import (REPRESENTABLE, UNDECIDED, auto_isotropy_shortcut,
                        complement_isotropic_at_q,
@@ -100,8 +100,10 @@ def check_theorem_hypotheses(S: GramMatrix, T: GramMatrix, q: int, j: int,
     cond_iii = {"minimum": mu, "C": C}
     cond_iii_ok = mu > C
 
-    embs = find_representations(S, T, c, limit=1)
-    witness = embs[0] if embs else None
+    # represents_locally_everywhere already ran the global search; its
+    # exact certificates carry the witness it found
+    exact = next((cert for cert in certs.values() if cert.exact), None)
+    witness = None if exact is None else Embedding.build(S, T, exact.witness)
 
     return HypothesisReport(rank_check=rank_check,
                             condition_i=cond_i, condition_i_ok=cond_i_ok,

@@ -5,8 +5,8 @@ import pytest
 from oracles import box_minimum, box_vectors_of_norm
 
 from latrep.enumeration import (Embedding, extend_representation,
-                                find_representations, imprimitivity_bound,
-                                lattice_minimum, lll_reduce, short_vectors,
+                                find_representations, lattice_minimum,
+                                lll_reduce, short_vectors,
                                 superlattices_of_prime_index, vectors_of_norm)
 from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
                              gram_of_columns, is_positive_definite)
@@ -101,7 +101,7 @@ def test_imprimitivity_bound_example():
     X = IntMatrix([[2, 0], [0, 3], [0, 0]])
     emb = Embedding.build(S, GramMatrix.diagonal([4, 9]), X)
     assert emb.elementary_divisors == (1, 6)
-    assert imprimitivity_bound(emb) == 6
+    assert emb.imprimitivity_bound == 6
 
 
 def test_find_representations_counts():

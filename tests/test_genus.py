@@ -151,6 +151,48 @@ def test_incomplete_genus_raises():
         represented_by_all_classes(record, GramMatrix.diagonal([1]), 1)
 
 
+def test_is_isometric_seeded_pairs():
+    # pairs isometric by construction must never be reported as distinct
+    local = random.Random(31337)
+    for _ in range(60):
+        n = local.randint(3, 6)
+        while True:
+            B = [[local.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            G = [[sum(B[k][i] * B[k][j] for k in range(n)) + (i == j)
+                  for j in range(n)] for i in range(n)]
+            S = GramMatrix(G)
+            if is_positive_definite(S):
+                break
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(8):
+            i, j = local.sample(range(n), 2)
+            f = local.choice((-1, 1))
+            U[i] = [x + f * y for x, y in zip(U[i], U[j])]
+        S2 = gram_of_columns(S, IntMatrix(U))
+        W = is_isometric(S, S2)
+        assert W is not None
+        assert gram_of_columns(S, W).entries == S2.entries
+
+
+def test_genus_isometric_classes_merged():
+    # each genus has one class; an isometry test with false negatives
+    # listed a second, isometric representative
+    for entries, p in (([[9, -3, 3], [-3, 5, -1], [3, -1, 2]], 5),
+                       ([[12, -4, 2], [-4, 6, -3], [2, -3, 5]], 3)):
+        record = enumerate_genus(GramMatrix(entries), p)
+        assert record.complete
+        assert len(record.classes) == 1
+
+
+def test_genus_check_uses_invariants_at_two():
+    # the 2-adic Jordan symbol of a neighbor is computed in another basis;
+    # a basis-dependent symbol made this closure fail its genus check
+    record = enumerate_genus(GramMatrix.diagonal([1, 2, 4, 8]), 3)
+    assert record.complete
+    assert sorted(lattice_minimum(c) for c in record.classes) == [1, 2]
+    assert all(det(c) == 64 for c in record.classes)
+
+
 def test_e8_genus_and_kissing():
     assert lattice_minimum(E8) == 2
     assert len(vectors_of_norm(E8, 2).vectors) == 120  # 240 up to sign

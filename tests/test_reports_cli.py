@@ -273,3 +273,21 @@ def test_cli_input_errors(capsys, tmp_path, i4):
     bad.write_text("[[1, 2], [3, 1]]")  # asymmetric
     code = main(["invariants", "--gram", str(bad)])
     assert code == 2
+
+
+def test_cli_internal_failure_exit_code(capsys, monkeypatch, i4):
+    import latrep.cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("neighbor left the genus")
+
+    monkeypatch.setattr(latrep.cli, "enumerate_genus", broken)
+    code = main(["genus", "--gram", i4, "-p", "3"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["error"] == "internal"
+    assert record["type"] == "AssertionError"
+    assert record["message"] == "neighbor left the genus"
