@@ -1,6 +1,7 @@
 """Exact enumeration over positive definite lattices.
 
-LLL reduction with rational Gram-Schmidt, Fincke-Pohst style vector
+Integral LLL reduction on the Gram matrix (integer leading minors and
+scaled Gram-Schmidt coefficients, no rationals), Fincke-Pohst style vector
 enumeration with exact rational bounds, global representation search
 X^t S X = T, imprimitivity measurement and representation extension.
 No floating point anywhere.
@@ -16,9 +17,9 @@ from typing import Iterator, Sequence
 
 from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, column_hnf,
                        det_int, elementary_divisors, gram_of_columns,
-                       inner_product, invert_unimodular, is_positive_definite,
-                       saturate, smith_normal_form, solve_integer_columns,
-                       solve_rational)
+                       inner_product, integral_gram_schmidt, invert_unimodular,
+                       is_positive_definite, saturate, smith_normal_form,
+                       solve_integer_columns, solve_rational)
 
 DELTA = Fraction(3, 4)  # LLL parameter
 
@@ -27,45 +28,57 @@ DELTA = Fraction(3, 4)  # LLL parameter
 # LLL reduction on a Gram matrix
 
 def _gram_schmidt(gram: GramMatrix):
-    """Rational Gram-Schmidt data (mu, B*) of the basis with this Gram
-    matrix, so that Q(x) = sum_i B*_i (x_i + sum_{k>i} mu[k][i] x_k)^2."""
-    g = gram.entries
+    """Rational Gram-Schmidt data (mu, B*) of the basis with this positive
+    definite Gram matrix, so that
+    Q(x) = sum_i B*_i (x_i + sum_{k>i} mu[k][i] x_k)^2; a Fraction view of
+    the integral Gram-Schmidt data."""
+    d, lam = integral_gram_schmidt(gram)
     n = gram.n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = [Fraction(0)] * n
-    for i in range(n):
-        norms[i] = Fraction(g[i][i]) - sum(mu[i][j] * mu[i][j] * norms[j]
-                                           for j in range(i))
-        for k in range(i + 1, n):
-            mu[k][i] = (g[k][i] - sum(mu[k][j] * mu[i][j] * norms[j]
-                                      for j in range(i))) / norms[i]
-    return mu, norms
+    mu = [[Fraction(lam[k][j], d[j + 1]) if j < k else Fraction(0)
+           for j in range(n)] for k in range(n)]
+    return mu, [Fraction(d[i + 1], d[i]) for i in range(n)]
 
 
 def lll_reduce(S: GramMatrix, delta: Fraction = DELTA) -> tuple[GramMatrix, IntMatrix]:
-    """LLL-reduced Gram S' = U^t S U with U unimodular; exact arithmetic."""
-    if not is_positive_definite(S):
+    """LLL-reduced Gram S' = U^t S U with U unimodular; exact arithmetic.
+
+    Integral LLL on the Gram matrix (Cohen, Alg. 2.6.7): the leading minors
+    d and the integers lam[k][j] = d[j+1] mu[k][j] are updated in place.
+    b_k is size-reduced against b_{k-1}, ..., b_0 with q = floor(mu + 1/2)
+    before the Lovasz test b (d[k+1] d[k-1] + lam^2) >= a d[k]^2 for
+    delta = a/b."""
+    d, lam = integral_gram_schmidt(S)
+    if d[-1] <= 0:
         raise ValueError("LLL requires a positive definite form")
     n = S.n
+    a, b = Fraction(delta).as_integer_ratio()
     basis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
-
-    def gram_schmidt():
-        return _gram_schmidt(gram_of_columns(S, IntMatrix.from_columns(basis)))
-
-    mu, norms = gram_schmidt()
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = (mu[k][j] + Fraction(1, 2)).__floor__()
+            q = (2 * lk[j] + d[j + 1]) // (2 * d[j + 1])
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
-                mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+                lk[j] -= q * d[j + 1]
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        r = lk[k - 1]
+        if b * (d[k + 1] * d[k - 1] + r * r) >= a * d[k] * d[k]:
             k += 1
-        else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, norms = gram_schmidt()
-            k = max(k - 1, 1)
+            continue
+        # swap b_k and b_{k-1}: lam[k][k-1] is unchanged, d[k] becomes B
+        basis[k], basis[k - 1] = basis[k - 1], basis[k]
+        lk[:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lk[:k - 1]
+        B = (d[k - 1] * d[k + 1] + r * r) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - r * t) // d[k]
+            li[k - 1] = (B * t + r * li[k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     U = IntMatrix.from_columns(basis)
     return gram_of_columns(S, U), U
 

@@ -154,7 +154,6 @@ def _lift_isotropic(S: GramMatrix, x: list[int], p: int) -> list[int]:
 
 def _neighbor_gram(S: GramMatrix, x: list[int], p: int) -> GramMatrix:
     """Gram of the p-neighbor {y : x^t S y = 0 mod p} + Z (x/p)."""
-    from fractions import Fraction
     n = S.n
     a = [inner_product(S, x, [1 if i == j else 0 for i in range(n)])
          for j in range(n)]
@@ -174,16 +173,11 @@ def _neighbor_gram(S: GramMatrix, x: list[int], p: int) -> GramMatrix:
     # generators of p * neighbor: p * kernel basis and x
     scaled = [[p * v for v in col] for col in gens] + [list(x)]
     H = column_hnf(IntMatrix.from_columns(scaled))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = Fraction(inner_product(S, H.column(i), H.column(j)), p * p)
-            if v.denominator != 1:
-                raise AssertionError("neighbor Gram not integral")
-            row.append(v.numerator)
-        rows.append(row)
-    return GramMatrix(rows)
+    G = gram_of_columns(S, H).entries
+    pp = p * p
+    if any(v % pp for row in G for v in row):
+        raise AssertionError("neighbor Gram not integral")
+    return GramMatrix([[v // pp for v in row] for row in G])
 
 
 # ---------------------------------------------------------------------------

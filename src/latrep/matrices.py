@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 # Bound on every memo table in the package.
@@ -149,11 +150,13 @@ def inner_product(S: GramMatrix, x: Sequence[int], y: Sequence[int]) -> int:
 def gram_of_columns(S: GramMatrix, X: IntMatrix) -> GramMatrix:
     """X^t S X as a Gram matrix."""
     cols = X.columns()
+    images = [[sum(map(mul, row, x)) for row in S.entries]
+              for x in cols]  # S x_j
     m = len(cols)
     g = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            v = inner_product(S, cols[i], cols[j])
+            v = sum(map(mul, cols[i], images[j]))
             g[i][j] = v
             g[j][i] = v
     return GramMatrix(g)
@@ -200,13 +203,37 @@ def det_int(M: IntMatrix) -> int:
     return _det_cached(M.entries)
 
 
+def integral_gram_schmidt(S: GramMatrix) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of the basis with Gram S.
+
+    d[i] is the i-th leading principal minor (d[0] = 1) and, for j < k,
+    lam[k][j] = d[j+1] mu[k][j], so that mu[k][j] = lam[k][j] / d[j+1] and
+    B*_i = d[i+1] / d[i].  Every division is exact (Bareiss).  The pass
+    stops at the first d[i] <= 0, which is then the last entry of d; the
+    rows of lam past that point stay zero."""
+    g = S.entries
+    n = S.n
+    d = [1]
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        row = lam[k]
+        for j in range(k + 1):
+            u = g[k][j]
+            lj = lam[j]
+            for i in range(j):
+                u = (d[i + 1] * u - row[i] * lj[i]) // d[i]
+            if j < k:
+                row[j] = u
+            else:
+                d.append(u)
+        if d[-1] <= 0:
+            break
+    return d, lam
+
+
 def is_positive_definite(S: GramMatrix) -> bool:
     """All leading principal minors positive."""
-    for k in range(1, S.n + 1):
-        minor = _det_bareiss([list(row[:k]) for row in S.entries[:k]])
-        if minor <= 0:
-            return False
-    return True
+    return integral_gram_schmidt(S)[0][-1] > 0
 
 
 # ---------------------------------------------------------------------------

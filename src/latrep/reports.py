@@ -18,8 +18,8 @@ from typing import Iterator
 
 import sympy
 
-from .enumeration import Embedding, lattice_minimum
-from .genus import enumerate_genus, represented_by_all_classes
+from .enumeration import Embedding, find_representations, lattice_minimum
+from .genus import enumerate_genus
 from .localrep import (REPRESENTABLE, UNDECIDED, auto_isotropy_shortcut,
                        complement_isotropic_at_q,
                        represents_locally_everywhere)
@@ -226,8 +226,11 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
                                 exception=False))
             continue
         mu = lattice_minimum(T)
-        per_class = represented_by_all_classes(genus, T, c)
-        representing = sum(1 for ok in per_class.values() if ok)
+        # class 0 is S itself, which represents_locally_everywhere has
+        # already searched: its certificates are exact iff it found a witness
+        representing = any(cert.exact for cert in certs.values()) + sum(
+            1 for rep in genus.classes[1:]
+            if find_representations(rep, T, c, limit=1))
         exc = representing < total_classes
         rows.append(ScanRow(target=diag, det=dT, mu=mu, local_ok=True,
                             classes_total=total_classes,

@@ -275,3 +275,55 @@ def draw_local_instance(rand):
             est = (p ** ((n - 1) * (N + 1) + n)) ** m
             if est <= 4_000_000:
                 return p, S, T, c, N
+
+
+def fraction_gram_schmidt(entries):
+    """Rational Gram-Schmidt data (mu, B*) of the basis with Gram `entries`,
+    by the textbook recursion in Fractions."""
+    from fractions import Fraction
+    n = len(entries)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = [Fraction(0)] * n
+    for i in range(n):
+        norms[i] = Fraction(entries[i][i]) - sum(mu[i][j] * mu[i][j] * norms[j]
+                                                 for j in range(i))
+        for k in range(i + 1, n):
+            mu[k][i] = (entries[k][i] - sum(mu[k][j] * mu[i][j] * norms[j]
+                                            for j in range(i))) / norms[i]
+    return mu, norms
+
+
+def _gram_of_basis(entries, basis):
+    images = [[sum(a * b for a, b in zip(row, y)) for row in entries]
+              for y in basis]
+    return [[sum(a * b for a, b in zip(x, img)) for img in images]
+            for x in basis]
+
+
+def reference_lll(entries, delta):
+    """(U^t S U, U) from the Fraction LLL that rebuilds the Gram-Schmidt data
+    after every step; the same pivot schedule as the package's LLL, so the
+    outputs must agree exactly.  U is returned as a list of rows."""
+    from fractions import Fraction
+    n = len(entries)
+    basis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
+
+    def gram_schmidt():
+        return fraction_gram_schmidt(_gram_of_basis(entries, basis))
+
+    mu, norms = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = (mu[k][j] + Fraction(1, 2)).__floor__()
+            if q:
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    U = [[basis[j][i] for j in range(n)] for i in range(n)]
+    return _gram_of_basis(entries, basis), U

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import box_minimum, box_vectors_of_norm
+from oracles import (box_minimum, box_vectors_of_norm, fraction_gram_schmidt,
+                     random_pos_def_entries, reference_lll)
 
 from latrep.enumeration import (Embedding, extend_representation,
                                 find_representations, lattice_minimum,
@@ -48,6 +50,28 @@ def test_lll_preserves_class():
         assert abs(det_int(U)) == 1
         assert gram_of_columns(S, U).entries == reduced.entries
         assert det(reduced) == det(S)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_lll_matches_reference(n):
+    """Integral LLL against the Fraction LLL that rebuilds Gram-Schmidt
+    after every step: reduced, unimodular, and identical output."""
+    draw = random.Random(1000 + n)
+    for case in range(6):
+        delta = (Fraction(3, 4), Fraction(99, 100))[case % 2]
+        S = GramMatrix(random_pos_def_entries(draw, n, spread=(2, 5)[case % 3 == 2],
+                                              bump=3))
+        reduced, U = lll_reduce(S, delta)
+        assert abs(det_int(U)) == 1
+        assert gram_of_columns(S, U).entries == reduced.entries
+        mu, norms = fraction_gram_schmidt(reduced.entries)
+        assert all(abs(mu[k][j]) <= Fraction(1, 2)
+                   for k in range(n) for j in range(k))
+        assert all(norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+                   for k in range(1, n))
+        G_ref, U_ref = reference_lll(S.entries, delta)
+        assert reduced.entries == tuple(map(tuple, G_ref))
+        assert U.entries == tuple(map(tuple, U_ref))
 
 
 def test_minimum_against_box_oracle():
