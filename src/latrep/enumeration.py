@@ -1,10 +1,10 @@
 """Exact enumeration over positive definite lattices.
 
 Integral LLL reduction on the Gram matrix (integer leading minors and
-scaled Gram-Schmidt coefficients, no rationals), Fincke-Pohst style vector
-enumeration with exact rational bounds, global representation search
-X^t S X = T, imprimitivity measurement and representation extension.
-No floating point anywhere.
+scaled Gram-Schmidt coefficients, no rationals), fraction-free
+Fincke-Pohst enumeration on the same integers (shifted cosets scaled by the
+determinant), global representation search X^t S X = T, imprimitivity
+measurement and representation extension.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,31 +13,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Iterator, Sequence
 
-from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, column_hnf,
-                       det_int, elementary_divisors, gram_of_columns,
-                       inner_product, integral_gram_schmidt, invert_unimodular,
-                       is_positive_definite, saturate, smith_normal_form,
-                       solve_integer_columns, solve_rational)
+from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, _det_bareiss,
+                       column_hnf, det, det_int, elementary_divisors,
+                       gram_of_columns, inner_product, integral_gram_schmidt,
+                       invert_unimodular, is_positive_definite, saturate,
+                       smith_normal_form, solve_integer_columns)
 
 DELTA = Fraction(3, 4)  # LLL parameter
 
 
 # ---------------------------------------------------------------------------
 # LLL reduction on a Gram matrix
-
-def _gram_schmidt(gram: GramMatrix):
-    """Rational Gram-Schmidt data (mu, B*) of the basis with this positive
-    definite Gram matrix, so that
-    Q(x) = sum_i B*_i (x_i + sum_{k>i} mu[k][i] x_k)^2; a Fraction view of
-    the integral Gram-Schmidt data."""
-    d, lam = integral_gram_schmidt(gram)
-    n = gram.n
-    mu = [[Fraction(lam[k][j], d[j + 1]) if j < k else Fraction(0)
-           for j in range(n)] for k in range(n)]
-    return mu, [Fraction(d[i + 1], d[i]) for i in range(n)]
-
 
 def lll_reduce(S: GramMatrix, delta: Fraction = DELTA) -> tuple[GramMatrix, IntMatrix]:
     """LLL-reduced Gram S' = U^t S U with U unimodular; exact arithmetic.
@@ -86,39 +75,56 @@ def lll_reduce(S: GramMatrix, delta: Fraction = DELTA) -> tuple[GramMatrix, IntM
 # ---------------------------------------------------------------------------
 # exact enumeration
 
-def _floor_c_plus_sqrt(c: Fraction, t: Fraction) -> int:
-    """floor(c + sqrt(t)) for rational c and rational t >= 0, exactly."""
-    z = (c.numerator // c.denominator) + isqrt(t.numerator // t.denominator) + 2
-    while True:
-        diff = Fraction(z) - c
-        if diff <= 0 or diff * diff <= t:
-            return z
-        z -= 1
+def _enumerate(gram: GramMatrix, t: int,
+               shift: tuple[Sequence[int], int] | None = None,
+               sphere: bool = False) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Integer y with D^2 Q(y + m/D) <= t (= t when sphere), each with that
+    value, for shift = (m, D); without a shift m = 0, D = 1 and y = 0 is
+    skipped.  Streamed in ascending order of y_{n-1}, ..., y_0.
 
-
-def _enumerate_reduced(gram: GramMatrix, bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All nonzero x with Q(x) <= bound in the given coordinates (both signs)."""
+    Fincke-Pohst on the integral Gram-Schmidt data (d, lam), with ints only.
+    For w = D y + m and s_i = d[i+1] w_i + sum_{k>i} lam[k][i] w_k,
+    D^2 Q(y + m/D) = sum_i s_i^2 / (d[i] d[i+1]).  E_i = d[i+1] times the
+    budget left for levels <= i, so E_{n-1} = d[n] t and
+    E_{i-1} = (d[i] E_i - s_i^2) / d[i+1], an exact division (d[i] times a
+    Schur complement of the Gram is integral).  Level i admits
+    |s_i| <= isqrt(d[i] E_i); the sphere leaf needs s_0^2 = E_0, so its cost
+    tracks the sphere, not the ball; the value is t - E_{-1}."""
     n = gram.n
-    mu, q = _gram_schmidt(gram)
-    x = [0] * n
+    d, lam = integral_gram_schmidt(gram)
+    m, D = shift if shift is not None else ((0,) * n, 1)
+    cols = [[lam[k][i] for k in range(i + 1, n)] for i in range(n)]
+    y = [0] * n
+    w = list(m)
 
-    def rec(i: int, remaining: Fraction) -> Iterator[tuple[tuple[int, ...], int]]:
-        if i < 0:
-            if any(x):
-                val = bound - remaining  # == Q(x); exact since all terms rational
-                yield tuple(x), int(val)
+    def rec(i: int, E: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        di, dn = d[i], d[i + 1]
+        a = dn * D
+        c = dn * m[i] + sum(map(mul, cols[i], w[i + 1:]))
+        r = isqrt(di * E)
+        if i == 0 and sphere:
+            if r * r == E:
+                for s in (-r, r) if r else (0,):
+                    q, rem = divmod(s - c, a)
+                    if not rem:
+                        y[0] = q
+                        if shift is not None or any(y):
+                            yield tuple(y), t
+                y[0] = 0
             return
-        center = sum(mu[j][i] * x[j] for j in range(i + 1, n))
-        radius2 = remaining / q[i]
-        hi = _floor_c_plus_sqrt(-center, radius2)
-        lo = -_floor_c_plus_sqrt(center, radius2)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            term = q[i] * (xi + center) ** 2
-            yield from rec(i - 1, remaining - term)
-        x[i] = 0
+        for yi in range(-((r + c) // a), (r - c) // a + 1):
+            y[i] = yi
+            w[i] = D * yi + m[i]
+            s = a * yi + c
+            rest = (di * E - s * s) // dn
+            if i:
+                yield from rec(i - 1, rest)
+            elif shift is not None or any(y):
+                yield tuple(y), t - rest
+        y[i] = 0
+        w[i] = m[i]
 
-    yield from rec(n - 1, Fraction(bound))
+    yield from rec(n - 1, d[n] * t)
 
 
 def _canonical_sign(v: tuple[int, ...]) -> bool:
@@ -146,9 +152,8 @@ def _short_vectors_raw(S: GramMatrix, bound: int) -> tuple[tuple[tuple[int, ...]
     """Canonical-sign vectors with 0 < Q <= bound, with their values; cached."""
     reduced, U = lll_reduce(S)
     out = []
-    for v, val in _enumerate_reduced(reduced, bound):
-        w = tuple(sum(U.entries[i][j] * v[j] for j in range(S.n))
-                  for i in range(S.n))
+    for v, val in _enumerate(reduced, bound):
+        w = tuple(sum(map(mul, row, v)) for row in U.entries)
         if _canonical_sign(w):
             out.append((w, val))
     out.sort(key=lambda t: (t[1], t[0]))
@@ -167,64 +172,7 @@ def lattice_minimum(S: GramMatrix) -> int:
     """mu(S) = min over nonzero integer x of x^t S x."""
     reduced, _ = lll_reduce(S)
     start = min(reduced.entries[i][i] for i in range(S.n))
-    raw = _short_vectors_raw(S, start)
-    return raw[0][1]
-
-
-def _is_square(f: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
-        return None
-    a, b = f.numerator, f.denominator
-    ra, rb = isqrt(a), isqrt(b)
-    if ra * ra == a and rb * rb == b:
-        return Fraction(ra, rb)
-    return None
-
-
-def _enumerate_exact(gram: GramMatrix, t,
-                     shift: list[Fraction] | None = None
-                     ) -> Iterator[tuple[int, ...]]:
-    """All integer x with Q(x + shift) = t in the given coordinates (both
-    signs), streamed; shift defaults to zero, t may be rational.
-
-    Unlike the ball enumeration, the innermost level solves the exact
-    remaining-value equation instead of scanning an interval, so the cost
-    tracks the sphere, not the ball."""
-    n = gram.n
-    mu, q = _gram_schmidt(gram)
-    affine = shift is not None
-    s0 = shift if affine else [Fraction(0)] * n
-    x = [0] * n
-    z = list(s0)  # z[j] = x[j] + s0[j]
-
-    def rec(i: int, remaining: Fraction) -> Iterator[tuple[int, ...]]:
-        center = s0[i] + sum(mu[j][i] * z[j] for j in range(i + 1, n))
-        if i == 0:
-            root = _is_square(remaining / q[0])
-            if root is None:
-                return
-            for s in ({root, -root} if root else {root}):
-                x0 = s - center
-                if x0.denominator == 1:
-                    x[0] = x0.numerator
-                    if affine or any(x):
-                        yield tuple(x)
-            x[0] = 0
-            return
-        radius2 = remaining / q[i]
-        hi = _floor_c_plus_sqrt(-center, radius2)
-        lo = -_floor_c_plus_sqrt(center, radius2)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            z[i] = xi + s0[i]
-            term = q[i] * (xi + center) ** 2
-            if term <= remaining:
-                yield from rec(i - 1, remaining - term)
-        x[i] = 0
-        z[i] = s0[i]
-
-    yield from rec(n - 1, Fraction(t))
+    return min(val for _, val in _enumerate(reduced, start))
 
 
 class _NormStream:
@@ -232,12 +180,10 @@ class _NormStream:
 
     def __init__(self, S: GramMatrix, t: int):
         reduced, U = lll_reduce(S)
-        n = S.n
 
         def gen():
-            for v in _enumerate_exact(reduced, t):
-                w = tuple(sum(U.entries[i][j] * v[j] for j in range(n))
-                          for i in range(n))
+            for v, _ in _enumerate(reduced, t, sphere=True):
+                w = tuple(sum(map(mul, row, v)) for row in U.entries)
                 if _canonical_sign(w):
                     yield w
 
@@ -290,13 +236,16 @@ class Embedding:
 
     @classmethod
     def build(cls, S: GramMatrix, T: GramMatrix, X: IntMatrix) -> "Embedding":
+        """Verify X^t S X = T and read the imprimitivity data off X.
+
+        With U X V = diag(d), X = U^-1[:, :m] diag(d) V^-1 and U^-1[:, :m]
+        is a basis of the saturation, so the coordinates of X in its
+        saturation have exactly the Smith divisors of X."""
         if gram_of_columns(S, X).entries != T.entries:
             raise ValueError("X^t S X != T")
-        sat = saturate(X)
-        coords = solve_integer_columns(sat, X)
-        if coords is None:
-            raise AssertionError("image not contained in its saturation")
-        divisors = elementary_divisors(coords)
+        divisors = elementary_divisors(X)
+        if len(divisors) != X.cols:
+            raise ValueError("X is rank-deficient")
         return cls(X=X, source=T, target=S, elementary_divisors=divisors,
                    imprimitivity_bound=divisors[-1] if divisors else 1)
 
@@ -337,9 +286,7 @@ def _constrained_candidates(S: GramMatrix, prior: list[tuple[int, ...]],
     Avoids scanning the full norm-`norm` sphere when the linear
     constraints cut it down to a thin slice."""
     n = S.n
-    rows = [[sum(S.entries[i][k] * v[k] for k in range(n)) for i in range(n)]
-            for v in prior]
-    A = IntMatrix(rows)
+    A = IntMatrix([[sum(map(mul, row, v)) for row in S.entries] for v in prior])
     solved = _solve_linear_over_Z(A, inners)
     if solved is None:
         return
@@ -352,19 +299,21 @@ def _constrained_candidates(S: GramMatrix, prior: list[tuple[int, ...]],
     G = gram_of_columns(S, K)
     Gred, U = lll_reduce(G)
     B = K @ U  # x = x0 + B y, Gram of B's columns is Gred
-    d = Gred.n
-    # complete the square: Q(x0 + B y) = (y + mu)^t Gred (y + mu) + const
-    cvec = [sum(B.entries[i][r] * sum(S.entries[i2][i] * x0[i2]
-                                      for i2 in range(n))
-                for i in range(n)) for r in range(d)]
-    mu = [row[0] for row in solve_rational(Gred.entries, [[x] for x in cvec])]
-    q0 = inner_product(S, tuple(x0), tuple(x0))
-    target = Fraction(norm) - q0 + sum(c * m for c, m in zip(cvec, mu))
-    if target < 0:
+    k = Gred.n
+    # complete the square: with Gred m = D cvec, D = det(Gred), D^2 Q(x0 + B y)
+    # = D^2 Q_red(y + m/D) + D^2 q0 - D cvec.m; m by Cramer's rule
+    Sx0 = [sum(map(mul, row, x0)) for row in S.entries]
+    cvec = [sum(map(mul, col, Sx0)) for col in B.columns()]
+    q0 = sum(map(mul, x0, Sx0))
+    D = det(Gred)
+    m = [_det_bareiss([row[:i] + [c] + row[i + 1:]
+                       for row, c in zip(map(list, Gred.entries), cvec)])
+         for i in range(k)]
+    t = D * D * (norm - q0) + D * sum(map(mul, cvec, m))
+    if t < 0:
         return
-    for y in _enumerate_exact(Gred, target, shift=mu):
-        yield tuple(x0[i] + sum(B.entries[i][r] * y[r] for r in range(d))
-                    for i in range(n))
+    for y, _ in _enumerate(Gred, t, shift=(m, D), sphere=True):
+        yield tuple(x0[i] + sum(map(mul, B.entries[i], y)) for i in range(n))
 
 
 def _column_search(S: GramMatrix, T: GramMatrix,

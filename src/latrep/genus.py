@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import sympy
 
@@ -118,10 +119,11 @@ def p_neighbors(S: GramMatrix, p: int) -> list[GramMatrix]:
     out: list[GramMatrix] = []
     d = det(S)
     for x0 in _projective_points(p, n):
-        if S.value(list(x0)) % p:
+        Sx = [sum(map(mul, row, x0)) for row in S.entries]
+        if sum(map(mul, x0, Sx)) % p:
             continue
-        x = _lift_isotropic(S, list(x0), p)
-        G = _neighbor_gram(S, x, p)
+        x, Sx = _lift_isotropic(S, list(x0), Sx, p)
+        G = _neighbor_gram(S, x, Sx, p)
         if det(G) != d:
             raise AssertionError("neighbor determinant changed")
         reduced, _ = lll_reduce(G)
@@ -133,14 +135,14 @@ def p_neighbors(S: GramMatrix, p: int) -> list[GramMatrix]:
     return out
 
 
-def _lift_isotropic(S: GramMatrix, x: list[int], p: int) -> list[int]:
-    """Adjust x (primitive, Q(x) = 0 mod p) so that Q(x) = 0 mod p^2."""
+def _lift_isotropic(S: GramMatrix, x: list[int], a: list[int], p: int
+                    ) -> tuple[list[int], list[int]]:
+    """Adjust x (primitive, Q(x) = 0 mod p) so that Q(x) = 0 mod p^2;
+    a = S x, returned updated with x."""
     n = S.n
-    q = S.value(x)
+    q = sum(map(mul, x, a))
     if q % (p * p) == 0:
-        return x
-    a = [inner_product(S, x, [1 if i == j else 0 for i in range(n)])
-         for j in range(n)]
+        return x, a
     i = next((i for i in range(n) if a[i] % p), None)
     if i is None:
         raise AssertionError("x lies in the radical mod p")
@@ -148,15 +150,15 @@ def _lift_isotropic(S: GramMatrix, x: list[int], p: int) -> list[int]:
     mu = (-t * pow(2 * a[i], -1, p)) % p
     y = x[:]
     y[i] += p * mu
-    assert S.value(y) % (p * p) == 0
-    return y
+    Sy = [v + p * mu * row[i] for v, row in zip(a, S.entries)]
+    assert sum(map(mul, y, Sy)) % (p * p) == 0
+    return y, Sy
 
 
-def _neighbor_gram(S: GramMatrix, x: list[int], p: int) -> GramMatrix:
-    """Gram of the p-neighbor {y : x^t S y = 0 mod p} + Z (x/p)."""
+def _neighbor_gram(S: GramMatrix, x: list[int], a: list[int], p: int
+                   ) -> GramMatrix:
+    """Gram of the p-neighbor {y : x^t S y = 0 mod p} + Z (x/p); a = S x."""
     n = S.n
-    a = [inner_product(S, x, [1 if i == j else 0 for i in range(n)])
-         for j in range(n)]
     piv = next(i for i in range(n) if a[i] % p)
     inv = pow(a[piv], -1, p)
     gens: list[list[int]] = []

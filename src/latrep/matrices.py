@@ -289,24 +289,33 @@ def smith_normal_form(X: IntMatrix) -> SmithForm:
             swap_rows(t, best[0])
         if best[1] != t:
             swap_cols(t, best[1])
-        # clear row and column t by gcd reduction
-        dirty = True
-        while dirty:
-            dirty = False
+        # clear row and column t: reduce every other entry by the rounded
+        # quotient q = floor(x/p + 1/2), so it is left with |x| <= |p|/2,
+        # then move the smallest nonzero remainder to the pivot and repeat;
+        # the pivot at least halves each pass, which keeps U and V small
+        while True:
+            p = a[t][t]
+            best, where = 0, None
             for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
+                x = a[i][t]
+                if x:
+                    add_row(i, t, -((2 * x + p) // (2 * p)))
+                    x = abs(a[i][t])
+                    if x and (where is None or x < best):
+                        best, where = x, (i, t)
             for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
+                x = a[t][j]
+                if x:
+                    add_col(j, t, -((2 * x + p) // (2 * p)))
+                    x = abs(a[t][j])
+                    if x and (where is None or x < best):
+                        best, where = x, (t, j)
+            if where is None:
+                break
+            if where[0] != t:
+                swap_rows(t, where[0])
+            else:
+                swap_cols(t, where[1])
         # enforce divisibility of the remaining block by the pivot
         pivot = a[t][t]
         offender = None

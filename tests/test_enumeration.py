@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (box_minimum, box_vectors_of_norm, fraction_gram_schmidt,
-                     random_pos_def_entries, reference_lll)
+from oracles import (box_minimum, box_vectors, box_vectors_of_norm,
+                     fraction_gram_schmidt, random_pos_def_entries,
+                     reference_lll)
 
-from latrep.enumeration import (Embedding, extend_representation,
-                                find_representations, lattice_minimum,
-                                lll_reduce, short_vectors,
+from latrep.enumeration import (Embedding, _constrained_candidates,
+                                extend_representation, find_representations,
+                                lattice_minimum, lll_reduce, short_vectors,
                                 superlattices_of_prime_index, vectors_of_norm)
 from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
-                             gram_of_columns, is_positive_definite)
+                             elementary_divisors, gram_of_columns,
+                             is_positive_definite, saturate,
+                             solve_integer_columns)
 
 rng = random.Random(4242)
 
@@ -117,6 +120,71 @@ def test_embedding_build_verifies():
     assert emb.imprimitivity_bound == 1
     with pytest.raises(ValueError):
         Embedding.build(S, GramMatrix.diagonal([3]), X)
+
+
+def test_embedding_divisors_match_saturation_route():
+    """The divisors read off X equal those of X's coordinates in its
+    saturation, for primitive and imprimitive X."""
+    draw = random.Random(31)
+    cases = [IntMatrix([[2], [2], [0]]), IntMatrix([[2, 0], [0, 3], [0, 0]]),
+             IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 1], [1, 1, 1]])]
+    while len(cases) < 40:
+        n = draw.randint(2, 5)
+        m = draw.randint(1, n)
+        X = [[draw.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+        for j in range(m):  # scale some columns to make X imprimitive
+            f = draw.choice((1, 1, 2, 3, 4))
+            for row in X:
+                row[j] *= f
+        X = IntMatrix(X)
+        if len(elementary_divisors(X)) == m:
+            cases.append(X)
+    for X in cases:
+        S = GramMatrix.identity(X.rows)
+        emb = Embedding.build(S, gram_of_columns(S, X), X)
+        coords = solve_integer_columns(saturate(X), X)
+        assert emb.elementary_divisors == elementary_divisors(coords)
+        assert emb.imprimitivity_bound == emb.elementary_divisors[-1]
+    assert Embedding.build(GramMatrix.identity(3), GramMatrix.diagonal([8]),
+                           cases[0]).elementary_divisors == (2,)
+
+
+def test_embedding_build_rejects_rank_deficient():
+    S = GramMatrix.identity(2)
+    X = IntMatrix([[1, 2], [0, 0]])
+    with pytest.raises(ValueError):
+        Embedding.build(S, gram_of_columns(S, X), X)
+
+
+def test_constrained_candidates_against_box_search():
+    """Every x with x^t S v_j = inners[j] and Q(x) = norm, on shifted
+    cosets of rank 2-5, against a filtered box search."""
+    draw = random.Random(606)
+    found = 0
+    for case in range(32):
+        n = 2 + case % 4
+        S = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
+        k = draw.randint(1, n - 1)
+        prior = [tuple(draw.randint(-1, 1) for _ in range(n)) for _ in range(k)]
+        x = [draw.randint(-1, 1) for _ in range(n)]
+        x[0] = 1
+        norm = S.value(x)
+        Sx = [sum(S.entries[i][j] * x[j] for j in range(n)) for i in range(n)]
+        inners = [sum(v[i] * Sx[i] for i in range(n)) for v in prior]
+        if case % 4 == 3:
+            inners[0] += 1  # a coset that may hold nothing
+        got = sorted(_constrained_candidates(S, prior, inners, norm))
+        expect = sorted(
+            xs for xs, q in box_vectors(S.entries, norm)
+            if q == norm and all(
+                sum(v[i] * S.entries[i][j] * xs[j]
+                    for i in range(n) for j in range(n)) == c
+                for v, c in zip(prior, inners)))
+        assert got == expect, (S.entries, prior, inners, norm)
+        if case % 4 != 3:
+            assert tuple(x) in got
+        found += len(got)
+    assert found > 32
 
 
 def test_imprimitivity_bound_example():

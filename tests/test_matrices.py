@@ -1,6 +1,8 @@
 import random
 
 import pytest
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from latrep.matrices import (GramMatrix, IntMatrix, column_hnf,
                              congruence_diagonalization, det, det_int,
@@ -60,23 +62,51 @@ def test_inner_product_and_value():
     assert inner_product(S, [1, 0], [0, 1]) == 1
 
 
+def _check_smith(X):
+    r, c = X.rows, X.cols
+    snf = smith_normal_form(X)
+    assert abs(det_int(snf.U)) == 1
+    assert abs(det_int(snf.V)) == 1
+    D = snf.U @ X @ snf.V
+    for i in range(r):
+        for j in range(c):
+            expect = snf.divisors[i] if i == j and i < len(snf.divisors) else 0
+            assert D.entries[i][j] == expect
+    nz = [d for d in snf.divisors if d]
+    for a, b in zip(nz, nz[1:]):
+        assert b % a == 0
+    assert all(d >= 0 for d in snf.divisors)
+    return snf
+
+
+def _sympy_divisors(X):
+    return tuple(abs(d) for d in invariant_factors(sympy.Matrix(X.to_lists()))
+                 if d != 0)
+
+
 def test_smith_form_properties():
     for _ in range(50):
-        r = rng.randint(1, 4)
-        c = rng.randint(1, 4)
-        X = random_int_matrix(r, c)
-        snf = smith_normal_form(X)
-        assert abs(det_int(snf.U)) == 1
-        assert abs(det_int(snf.V)) == 1
-        D = snf.U @ X @ snf.V
-        for i in range(r):
-            for j in range(c):
-                expect = snf.divisors[i] if i == j and i < len(snf.divisors) else 0
-                assert D.entries[i][j] == expect
-        nz = [d for d in snf.divisors if d]
-        for a, b in zip(nz, nz[1:]):
-            assert b % a == 0
-        assert all(d >= 0 for d in snf.divisors)
+        _check_smith(random_int_matrix(rng.randint(1, 4), rng.randint(1, 4)))
+    # shapes up to 7x7 with entries in [-6, 6], against sympy's divisors
+    draw = random.Random(77)
+    for k in range(60):
+        r, c = (7, 7) if k % 3 == 0 else (draw.randint(1, 7), draw.randint(1, 7))
+        X = IntMatrix([[draw.randint(-6, 6) for _ in range(c)] for _ in range(r)])
+        snf = _check_smith(X)
+        assert tuple(d for d in snf.divisors if d) == _sympy_divisors(X)
+
+
+def test_smith_form_entries_stay_small():
+    """A 7x7 matrix whose Smith form once grew U to hundreds of bits and
+    ran for minutes; the divisors must match sympy's, with small U, V."""
+    X = IntMatrix([(-1, 1, 6, 5, -3, 4, 3), (2, -4, -6, -1, 4, -5, 2),
+                   (-4, 2, 4, 4, 1, -1, 6), (5, -5, 3, -6, 1, -3, 0),
+                   (4, -4, 0, 5, -3, -5, -3), (-1, -1, 4, -3, 6, 4, 1),
+                   (5, 1, -1, 1, 4, 6, 4)])
+    snf = _check_smith(X)
+    assert snf.divisors == _sympy_divisors(X) == (1, 1, 1, 1, 1, 1, 898066)
+    assert max(abs(x).bit_length() for M in (snf.U, snf.V)
+               for row in M.entries for x in row) <= 64
 
 
 def test_smith_example():
