@@ -9,18 +9,26 @@ while exhaustion without any admissible witness modulo p^N refutes
 representability (a genuine Z_p solution would reduce to one).
 Outcomes that survive one precision escalation are surfaced as a third
 "undecided" status, never coerced to a boolean.
+
+The imprimitivity bound needs only the p-valuations of the Smith divisors
+of a candidate X, and those are determined by X mod p^k up to the cap k:
+they are the Smith form over the local ring Z/p^k.  The search reads them
+by elimination over Z/p^k with a pivot of minimal valuation, at k =
+ord_p(c) + 1 to prune column prefixes and at k = N for a full witness, so
+no integer Smith normal form is computed on this path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 import sympy
 
-from .enumeration import find_representations
-from .matrices import (GramMatrix, IntMatrix, det, elementary_divisors,
-                       gram_of_columns, inner_product, is_positive_definite,
+from .enumeration import Embedding, find_representations
+from .matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
+                       gram_of_columns, is_positive_definite,
                        orthogonal_complement)
 from .padic import (Place, REAL, is_isotropic, ord_p, space_invariants,
                     space_represents)
@@ -60,27 +68,48 @@ class LocalRepCertificate:
         }
 
 
-def _exact_certificate(place: Place, X: IntMatrix, p: int | None) -> LocalRepCertificate:
-    divisors = elementary_divisors(X)
-    vals = tuple(ord_p(d, p) for d in divisors) if p else ()
-    return LocalRepCertificate(place=place, status=REPRESENTABLE, witness=X,
+def _exact_certificate(place: Place, emb: Embedding, p: int | None) -> LocalRepCertificate:
+    vals = tuple(ord_p(d, p) for d in emb.elementary_divisors) if p else ()
+    return LocalRepCertificate(place=place, status=REPRESENTABLE, witness=emb.X,
                                precision=None, exact=True,
                                divisor_valuations=vals, method="exact")
 
 
-def _divisor_valuations_mod(X: IntMatrix, p: int, N: int) -> tuple[int, ...]:
-    """p-valuations of the elementary divisors of a lift, with >= N as a
-    sentinel for divisors not determined at this precision."""
-    from .matrices import smith_normal_form
-    snf = smith_normal_form(X)
+def _smith_valuations(columns, p: int, k: int) -> tuple[int, ...]:
+    """p-valuations of the Smith divisors of the matrix with these columns,
+    capped at k; a zero divisor reads as k.
+
+    Elimination over Z/p^k: the entry of least valuation v divides every
+    other entry, so clearing its column by row operations and dropping its
+    row and column leaves a block with the remaining Smith valuations, all
+    >= v.  The result is therefore nondecreasing, like the divisors."""
+    pk = p ** k
+    rows = [[x % pk for x in col] for col in columns]  # X^t, same divisors
     vals = []
-    for d in snf.divisors:
-        if d == 0:
-            vals.append(N)
-        else:
-            v = ord_p(d, p)
-            vals.append(v if v < N else N)
-    return tuple(vals)
+    while rows:
+        best, where = k, None
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if v < best:
+                        best, where = v, (i, j)
+        if where is None:
+            break
+        vals.append(best)
+        i, j = where
+        prow = rows.pop(i)
+        pv = p ** best
+        inv = pow(prow[j] // pv, -1, pk)
+        for row in rows:
+            if row[j]:
+                f = (row[j] // pv) * inv % pk
+                row[:] = [(x - f * y) % pk for x, y in zip(row, prow)]
+            del row[j]
+    return tuple(vals) + (k,) * (min(len(columns), len(columns[0])) - len(vals))
 
 
 def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
@@ -90,6 +119,7 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
     Returns (certified_witness, witness_vals, any_filtered, budget_exceeded).
     A 'filtered' witness passes the elementary-divisor valuation bound;
     a certified one additionally passes the Hensel margin rule.
+    Columns travel with their images S x, which every inner product reads.
     """
     n, m = S.n, T.n
     pN = p ** N
@@ -98,23 +128,17 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
     any_filtered = [False]
     srows = S.entries
 
-    def sdot(x, y):
-        return sum(x[i] * sum(srows[i][j] * y[j] for j in range(n))
-                   for i in range(n))
+    def srow(x):
+        return [sum(map(mul, row, x)) for row in srows]
 
-    def divisor_prune(prefix: list[tuple[int, ...]], y: list[int]) -> bool:
+    def divisor_prune(prefix, y: list[int]) -> bool:
         """True when the prefix columns can still extend to a witness whose
         elementary divisors all have valuation <= ordc.  Decidable from the
         entries mod p^(ordc+1), since divisor valuations <= ordc are
         determined by the minors at that precision; divisors of a column
         subset divide those of the full matrix."""
-        X = IntMatrix.from_columns(prefix + [y])
-        from .matrices import smith_normal_form
-        return all(d != 0 and ord_p(d, p) <= ordc
-                   for d in smith_normal_form(X).divisors)
-
-    def srow(x):
-        return [sum(srows[i][j] * x[j] for j in range(n)) for i in range(n)]
+        cols = [x for x, _ in prefix] + [y]
+        return all(v <= ordc for v in _smith_valuations(cols, p, ordc + 1))
 
     def affine_solutions(rows, rhs):
         """All d in F_p^n with rows . d = rhs, as digit tuples."""
@@ -146,12 +170,13 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
                 d[c] = (a[r][n] - sum(a[r][fc] * d[fc] for fc in free)) % p
             yield tuple(d)
 
-    def column_solutions(prefix: list[tuple[int, ...]], k: int):
-        """All x mod p^N with Q(x) = T_kk and prefix inner products mod p^N."""
+    def column_solutions(prefix, k: int):
+        """All (x, S x) with x mod p^N, Q(x) = T_kk and the prefix inner
+        products mod p^N."""
         tkk = T.entries[k][k]
-        lins = [(prefix[j], srow(prefix[j]), T.entries[j][k]) for j in range(k)]
+        lins = [(sx, T.entries[j][k]) for j, (_, sx) in enumerate(prefix)]
 
-        def candidate_digits(level, x, step, qmod):
+        def candidate_digits(level, x, sx, step, qmod):
             """Digit vectors at this level; for level >= 1 the constraints
             are affine-linear over F_p, so only the solution coset is
             enumerated (a superset of the valid digits; each candidate is
@@ -160,15 +185,14 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
                 yield from product(range(p), repeat=n)
                 return
             rows, rhs = [], []
-            sx = srow(x)
-            for _, scol, target in lins:
-                r = sdot_cached(scol, x) - target
+            for scol, target in lins:
+                r = sum(map(mul, scol, x)) - target
                 rows.append([v % p for v in scol])
                 rhs.append(-(r // step))
             # quadratic constraint: Q(x + step d) = Q(x) + 2 step (Sx . d)
             # + step^2 Q(d); at p = 2 the d_i^2 = d_i identity keeps the
             # step = 2 case linear as well
-            rq = sdot(x, x) - tkk
+            rq = sum(map(mul, x, sx)) - tkk
             if p != 2:
                 rows.append([(2 * v) % p for v in sx])
                 rhs.append(-(rq // step))
@@ -180,14 +204,11 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
                 rhs.append(-(rq // (2 * step)))
             yield from affine_solutions(rows, rhs)
 
-        def sdot_cached(sc, y):
-            return sum(sc[i] * y[i] for i in range(n))
-
-        def rec(level: int, x: list[int]):
+        def rec(level: int, x: list[int], sx: list[int]):
             if budget[0] <= 0:
                 return
             if level == N:
-                yield tuple(x)
+                yield tuple(x), sx
                 return
             step = p ** level
             mod = step * p
@@ -195,49 +216,47 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
             # multiple of 2 p^{level+1}, so at p = 2 the value is pinned one
             # level deeper than the entries
             qmod = min(mod * 2, pN) if p == 2 else mod
-            for digits in candidate_digits(level, x, step, qmod):
+            for digits in candidate_digits(level, x, sx, step, qmod):
                 budget[0] -= 1
                 if budget[0] <= 0:
                     return
                 y = [x[i] + digits[i] * step for i in range(n)]
-                ok = True
-                for col, _, target in lins:
-                    if (sdot(col, y) - target) % mod:
-                        ok = False
-                        break
-                if ok and (sdot(y, y) - tkk) % qmod:
-                    ok = False
-                if ok and level == ordc and not divisor_prune(prefix, y):
-                    ok = False
-                if ok:
-                    yield from rec(level + 1, y)
+                if any((sum(map(mul, scol, y)) - target) % mod
+                       for scol, target in lins):
+                    continue
+                sy = srow(y)
+                if (sum(map(mul, y, sy)) - tkk) % qmod:
+                    continue
+                if level == ordc and not divisor_prune(prefix, y):
+                    continue
+                yield from rec(level + 1, y, sy)
 
-        yield from rec(0, [0] * n)
+        yield from rec(0, [0] * n, [0] * n)
 
     certified = None
     certified_vals = ()
 
-    def full_check(cols: list[tuple[int, ...]]):
+    def full_check(chosen) -> bool:
         nonlocal certified, certified_vals
-        X = IntMatrix.from_columns(cols)
-        vals = _divisor_valuations_mod(X, p, N)
+        cols = [x for x, _ in chosen]
+        vals = _smith_valuations(cols, p, N)
         if any(v > ordc for v in vals):
             return False
         any_filtered[0] = True
-        G = gram_of_columns(S, X)
-        dG = det(G)
+        dG = _det_bareiss([[sum(map(mul, x, sy)) for _, sy in chosen]
+                           for x in cols])
         vd = ord_p(dG, p) if dG != 0 else N
         if vd <= margin_bound and 2 * vd < N:
-            certified = X
+            certified = IntMatrix.from_columns(cols)
             certified_vals = vals
             return True
         return False
 
-    def columns(k: int, chosen: list[tuple[int, ...]]) -> bool:
+    def columns(k: int, chosen) -> bool:
         if k == m:
             return full_check(chosen)
-        for x in column_solutions(chosen, k):
-            if columns(k + 1, chosen + [x]):
+        for col in column_solutions(chosen, k):
+            if columns(k + 1, chosen + [col]):
                 return True
             if budget[0] <= 0:
                 return False
@@ -265,7 +284,7 @@ def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
     if try_global and is_positive_definite(S) and is_positive_definite(T):
         embs = find_representations(S, T, c, limit=1)
         if embs:
-            return _exact_certificate(place, embs[0].X, p)
+            return _exact_certificate(place, embs[0], p)
 
     ordc = ord_p(c, p) if c % p == 0 else 0
     e = (1 if p == 2 else 0) + ord_p(dS, p) + ord_p(dT, p) + 2 * ordc
@@ -314,11 +333,11 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
                                     method="signature")
 
     global_embs = find_representations(S, T, c, limit=1)
-    witness = global_embs[0].X if global_embs else None
+    emb = global_embs[0] if global_embs else None
 
     for p in _relevant_primes(S, T, c):
-        if witness is not None:
-            out[Place.finite(p)] = _exact_certificate(Place.finite(p), witness, p)
+        if emb is not None:
+            out[Place.finite(p)] = _exact_certificate(Place.finite(p), emb, p)
         else:
             out[Place.finite(p)] = represents_over_Zp(S, T, p, c,
                                                       try_global=False)
@@ -326,7 +345,7 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
     # outside the relevant set both lattices are unimodular at an odd prime;
     # for rank gap >= 1 that forces representability, for equal ranks the
     # determinant square classes must agree at p
-    if T.n == S.n and witness is None:
+    if T.n == S.n and emb is None:
         from .padic import squarefree_class
         q = squarefree_class(det(S) * det(T))
         if q != 1:

@@ -18,8 +18,20 @@ from typing import Sequence
 CACHE_SIZE = 4096
 
 
+def _int_row(row) -> tuple[int, ...]:
+    """The row as a tuple of ints; ints pass through, any other entry must
+    equal its int() or the row is rejected (no silent truncation)."""
+    out = tuple(row)
+    if set(map(type, out)) <= {int}:
+        return out
+    ints = tuple(map(int, out))
+    if ints != out:
+        raise ValueError(f"matrix row {out!r} has a non-integer entry")
+    return ints
+
+
 def _freeze(rows) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
+    out = tuple(map(_int_row, rows))
     if out and any(len(r) != len(out[0]) for r in out):
         raise ValueError("ragged matrix")
     return out

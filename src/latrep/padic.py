@@ -47,11 +47,14 @@ REAL = Place.real()
 
 def ord_p(a, p: int) -> int:
     """Additive p-adic valuation of a nonzero rational."""
-    a = Fraction(a)
-    if a == 0:
+    if type(a) is int:
+        num, den = a, 1
+    else:
+        a = Fraction(a)
+        num, den = a.numerator, a.denominator
+    if num == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0
-    num, den = a.numerator, a.denominator
     while num % p == 0:
         num //= p
         v += 1

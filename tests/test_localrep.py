@@ -5,10 +5,12 @@ import pytest
 from oracles import draw_local_instance, local_rep_oracle
 
 from latrep.localrep import (NOT_REPRESENTABLE, REPRESENTABLE, UNDECIDED,
-                             auto_isotropy_shortcut, complement_isotropic_at_q,
+                             _smith_valuations, auto_isotropy_shortcut,
+                             complement_isotropic_at_q,
                              represents_locally_everywhere, represents_over_Zp)
-from latrep.matrices import GramMatrix, IntMatrix, det, is_positive_definite
-from latrep.padic import Place, REAL
+from latrep.matrices import (GramMatrix, IntMatrix, det, is_positive_definite,
+                             smith_normal_form)
+from latrep.padic import Place, REAL, ord_p
 
 rng = random.Random(31337)
 
@@ -51,6 +53,14 @@ def test_imprimitivity_unlocks_at_two():
     for c, expect in [(1, False), (2, True), (4, True), (3, False)]:
         cert = represents_over_Zp(I3, GramMatrix.diagonal([4]), 2, c)
         assert cert.representable == expect, c
+    # the same at an odd prime, from the search alone: x^2 + y^2 + 3z^2 = 9
+    # forces x = y = 0 mod 3 (-1 is not a square mod 3) and then z = 0
+    # mod 3, so every solution has divisor 3
+    S = GramMatrix.diagonal([1, 1, 3])
+    for c, expect in [(1, NOT_REPRESENTABLE), (3, REPRESENTABLE)]:
+        cert = represents_over_Zp(S, GramMatrix.diagonal([9]), 3, c,
+                                  try_global=False)
+        assert cert.status == expect, c
 
 
 def test_odd_prime_unimodular_always_representable():
@@ -73,6 +83,35 @@ def test_refutation_without_global_path():
                               try_global=False)
     assert cert.status == NOT_REPRESENTABLE
     assert cert.witness is None
+
+
+def test_smith_valuations_match_integer_smith_form():
+    """Valuations by elimination over Z/p^k against the integer Smith form,
+    capped at k with a zero divisor read as k."""
+    draw = random.Random(5551)
+    for trial in range(400):
+        p, k = draw.choice((2, 3, 5)), draw.randint(1, 6)
+        n = draw.randint(1, 5)
+        m = draw.randint(1, n)
+        pk = p ** k
+        cols = [[draw.choice((draw.randint(-9, 9), p * draw.randint(-9, 9),
+                              pk * draw.randint(-3, 3)))
+                 for _ in range(n)] for _ in range(m)]
+        kind = trial % 4
+        if kind == 1:  # a zero column
+            cols[draw.randrange(m)] = [0] * n
+        elif kind == 2 and m >= 2:  # rank-deficient: last column dependent
+            a, b = draw.randint(-3, 3), draw.randint(-3, 3)
+            cols[-1] = [a * x + b * y for x, y in zip(cols[0], cols[-2])]
+        elif kind == 3:  # one column with every entry divisible by p^k
+            j = draw.randrange(m)
+            cols[j] = [pk * draw.randint(-3, 3) for _ in range(n)]
+        X = IntMatrix.from_columns(cols)
+        expect = tuple(k if d == 0 else min(ord_p(d, p), k)
+                       for d in smith_normal_form(X).divisors)
+        assert _smith_valuations(cols, p, k) == expect, (cols, p, k)
+    assert _smith_valuations([[0, 0, 0], [0, 0, 0]], 3, 4) == (4, 4)
+    assert _smith_valuations([[8, 4], [0, 16]], 2, 3) == (2, 3)
 
 
 def test_witness_mod_pN_is_a_solution():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -53,6 +54,21 @@ def test_det_matches_cofactor_expansion():
 def test_gram_rejects_asymmetric():
     with pytest.raises(ValueError):
         GramMatrix([[1, 2], [3, 1]])
+
+
+def test_entries_must_be_integers():
+    # integral values of any numeric type are kept as ints; a non-integral
+    # entry raises instead of being truncated
+    S = GramMatrix([[Fraction(4, 2), 1.0], [sympy.Integer(1), 3]])
+    assert S.entries == ((2, 1), (1, 3))
+    assert all(type(x) is int for row in S.entries for x in row)
+    for bad in (2.5, Fraction(5, 2)):
+        with pytest.raises(ValueError):
+            GramMatrix([[bad]])
+        with pytest.raises(ValueError):
+            IntMatrix([[1, bad]])
+    with pytest.raises(ValueError):
+        parse_gram("[[2.5, 1], [1, 2]]")
 
 
 def test_inner_product_and_value():

@@ -273,6 +273,9 @@ def test_cli_input_errors(capsys, tmp_path, i4):
     bad.write_text("[[1, 2], [3, 1]]")  # asymmetric
     code = main(["invariants", "--gram", str(bad)])
     assert code == 2
+    bad.write_text("[[2.5, 1], [1, 2]]")  # not integral, never truncated
+    code = main(["invariants", "--gram", str(bad)])
+    assert code == 2
 
 
 def test_cli_internal_failure_exit_code(capsys, monkeypatch, i4):
