@@ -4,11 +4,11 @@ Kneser neighbors, global representation search, and local-global scans."""
 
 from .matrices import (GramMatrix, IntMatrix, SmithForm, column_hnf,
                        congruence_diagonalization, det, det_int,
-                       diagonalize_over_Q, elementary_divisors,
-                       gram_of_columns, inner_product, integer_kernel,
-                       invert_unimodular, is_positive_definite, load_gram,
-                       orthogonal_complement, parse_gram, saturate,
-                       smith_normal_form, solve_integer_columns)
+                       elementary_divisors, gram_of_columns, inner_product,
+                       integer_kernel, invert_unimodular,
+                       is_positive_definite, load_gram, orthogonal_complement,
+                       parse_gram, saturate, smith_normal_form,
+                       solve_integer_columns)
 from .padic import (Place, REAL, SpaceInvariants, JordanComponent,
                     JordanSplitting, hasse_invariant, hilbert_symbol,
                     is_isotropic, is_local_square, jordan_decomposition,

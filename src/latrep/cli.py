@@ -16,8 +16,7 @@ import traceback
 from .enumeration import (Embedding, extend_representation,
                           find_representations, lattice_minimum)
 from .genus import enumerate_genus
-from .localrep import (NOT_REPRESENTABLE, REPRESENTABLE, UNDECIDED,
-                       complement_isotropic_at_q, represents_locally_everywhere,
+from .localrep import (REPRESENTABLE, UNDECIDED, represents_locally_everywhere,
                        represents_over_Zp)
 from .matrices import IntMatrix, det, load_gram
 from .padic import (Place, REAL, is_isotropic, jordan_decomposition,

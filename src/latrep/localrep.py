@@ -28,10 +28,9 @@ import sympy
 
 from .enumeration import Embedding, find_representations
 from .matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
-                       gram_of_columns, is_positive_definite,
-                       orthogonal_complement)
-from .padic import (Place, REAL, is_isotropic, ord_p, space_invariants,
-                    space_represents)
+                       gram_of_columns, is_positive_definite)
+from .padic import (Place, REAL, complement_isotropic, ord_p,
+                    space_invariants, space_represents)
 
 REPRESENTABLE = "representable"
 NOT_REPRESENTABLE = "not_representable"
@@ -369,20 +368,22 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
 
 def complement_isotropic_at_q(S: GramMatrix, X: IntMatrix, q: int) -> bool:
     """Is the orthogonal complement of the witness's column span isotropic
-    over Q_q?"""
+    over Q_q?  By Witt cancellation the complement is fixed by S and
+    T = X^t S X, so it is decided from their invariants."""
     if not sympy.isprime(q):
         raise ValueError(f"{q} is not prime")
-    if det(gram_of_columns(S, X)) == 0:
+    T = gram_of_columns(S, X)
+    if det(T) == 0:
         raise ValueError("witness columns span a degenerate subspace")
-    comp = orthogonal_complement(S, X)
-    inv = space_invariants(gram_of_columns(S, comp))
-    return is_isotropic(inv, Place.finite(q))
+    return complement_isotropic(space_invariants(S), T, Place.finite(q))
 
 
 def auto_isotropy_shortcut(S: GramMatrix, T: GramMatrix, q: int) -> bool:
-    """The isotropy condition holds automatically for m <= n-5, or when both
-    discriminants are units at q and the rank gap is at least 3."""
+    """The isotropy condition holds automatically for m <= n-5, or, at odd
+    q, when both discriminants are units at q and the rank gap is at least
+    3.  At q = 2 unit discriminants do not suffice: the complement of
+    diag(1) in I4 is I3, anisotropic over Q_2."""
     n, m = S.n, T.n
     if m <= n - 5:
         return True
-    return (det(S) % q != 0 and det(T) % q != 0 and n - m >= 3)
+    return (q != 2 and det(S) % q != 0 and det(T) % q != 0 and n - m >= 3)

@@ -539,12 +539,6 @@ def congruence_diagonalization(S: GramMatrix) -> tuple[list[list[Fraction]], lis
     return p, [a[i][i] for i in range(n)]
 
 
-def diagonalize_over_Q(S: GramMatrix) -> tuple[Fraction, ...]:
-    """Nonzero rationals d with S rationally congruent to diag(d)."""
-    _, d = congruence_diagonalization(S)
-    return tuple(d)
-
-
 # ---------------------------------------------------------------------------
 # shared Gram reader
 

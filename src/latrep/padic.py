@@ -69,19 +69,34 @@ def unit_part(a, p: int) -> Fraction:
     return Fraction(a) / Fraction(p) ** ord_p(a, p)
 
 
-def squarefree_class(a) -> int:
-    """Canonical representative (signed squarefree integer) of a's square class."""
-    a = Fraction(a)
+def _split(a: int, p: int) -> tuple[int, int]:
+    """(ord_p(a), a / p^ord_p(a)) for a nonzero integer a."""
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v, a
+
+
+def _int_class(a) -> int:
+    """The integer num·den, which lies in the square class of the nonzero
+    rational a; an int is returned as it is."""
+    if type(a) is not int:
+        a = Fraction(a)
+        a = a.numerator * a.denominator
     if a == 0:
         raise ValueError("0 has no square class")
-    n = a.numerator * a.denominator
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    for q, e in sympy.factorint(n).items():
+    return a
+
+
+def squarefree_class(a) -> int:
+    """Canonical representative (signed squarefree integer) of a's square class."""
+    n = _int_class(a)
+    out = -1 if n < 0 else 1
+    for q, e in sympy.factorint(abs(n)).items():
         if e % 2:
             out *= q
-    return sign * out
+    return out
 
 
 def legendre(a: int, p: int) -> int:
@@ -92,40 +107,33 @@ def legendre(a: int, p: int) -> int:
 
 def hilbert_symbol(a, b, v: Place) -> int:
     """Hilbert symbol (a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
-    solution over the completion at v.  Closed-form rules."""
-    a = Fraction(a)
-    b = Fraction(b)
+    solution over the completion at v.  Closed-form rules on the integers
+    num*den, whose valuations matter only mod 2."""
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
+    a, b = _int_class(a), _int_class(b)
     if v.is_real:
         return -1 if a < 0 and b < 0 else 1
     p = v.p
-    alpha, beta = ord_p(a, p), ord_p(b, p)
-    u = unit_part(a, p)
-    w = unit_part(b, p)
-    # reduce the unit parts to integers prime to p
-    un = u.numerator * u.denominator
-    wn = w.numerator * w.denominator
+    alpha, u = _split(a, p)
+    beta, w = _split(b, p)
     if p == 2:
-        eps_u = ((un - 1) // 2) % 2
-        eps_w = ((wn - 1) // 2) % 2
-        om_u = ((un * un - 1) // 8) % 2
-        om_w = ((wn * wn - 1) // 8) % 2
-        exp = eps_u * eps_w + alpha * om_w + beta * om_u
+        exp = (((u - 1) // 2) * ((w - 1) // 2) + alpha * ((w * w - 1) // 8)
+               + beta * ((u * u - 1) // 8))
         return -1 if exp % 2 else 1
     sign = 1
     if (alpha * beta) % 2 and p % 4 == 3:
         sign = -sign
     if beta % 2:
-        sign *= legendre(un, p)
+        sign *= legendre(u, p)
     if alpha % 2:
-        sign *= legendre(wn, p)
+        sign *= legendre(w, p)
     return sign
 
 
 def hasse_invariant(diag: Sequence, v: Place) -> int:
     """Product over i < j of (d_i, d_j)_v."""
-    d = [Fraction(x) for x in diag]
+    d = [_int_class(x) for x in diag]
     out = 1
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -135,24 +143,17 @@ def hasse_invariant(diag: Sequence, v: Place) -> int:
 
 def is_local_square(a, v: Place) -> bool:
     """Is a a square in the completion at v?"""
-    a = Fraction(a)
     if a == 0:
         raise ValueError("0 is excluded")
+    a = _int_class(a)
     if v.is_real:
         return a > 0
-    p = v.p
-    e = ord_p(a, p)
+    e, u = _split(a, v.p)
     if e % 2:
         return False
-    u = unit_part(a, p)
-    un = u.numerator * u.denominator
-    if p == 2:
-        return un % 8 == 1
-    return legendre(un, p) == 1
-
-
-def same_square_class(a, b, v: Place) -> bool:
-    return is_local_square(Fraction(a) * Fraction(b), v)
+    if v.p == 2:
+        return u % 8 == 1
+    return legendre(u, v.p) == 1
 
 
 def relevant_places(S: GramMatrix) -> list[Place]:
@@ -184,37 +185,34 @@ class SpaceInvariants:
             return -1 if (neg * (neg - 1) // 2) % 2 else 1
         return 1  # trivial outside the relevant set
 
+    def local(self, v: Place) -> tuple[int, int, int]:
+        """(rank, det class, Hasse symbol at v)."""
+        return self.rank, self.det_class, self.hasse_at(v)
+
 
 def invariants_of_diagonal(diag: Sequence) -> SpaceInvariants:
-    d = [Fraction(x) for x in diag]
-    if any(x == 0 for x in d):
+    if any(x == 0 for x in diag):
         raise ValueError("diagonal entry 0")
-    detc = squarefree_class(_prod(d))
+    d = [_int_class(x) for x in diag]
+    prod = 1
+    for x in d:
+        prod *= x
+    detc = squarefree_class(prod)
     pos = sum(1 for x in d if x > 0)
     neg = len(d) - pos
-    # candidate places: anywhere the symbol could be nontrivial
-    candidates = {REAL, Place.finite(2)}
-    for x in d:
-        n = abs(x.numerator * x.denominator)
-        for q in sympy.factorint(n).keys():
-            candidates.add(Place.finite(q))
-    always = {REAL, Place.finite(2)}
-    for q in sympy.factorint(abs(detc)).keys():
-        always.add(Place.finite(q))
-    values = {v: hasse_invariant(d, v) for v in candidates}
-    # canonical storage: the mandatory places plus any place with symbol -1,
-    # so the result does not depend on which diagonalization was used
-    stored = {v for v in candidates if v in always or values[v] == -1}
-    hasse = tuple(sorted(((v, values[v]) for v in stored), key=lambda t: t[0].p))
-    return SpaceInvariants(rank=len(d), det_class=detc, hasse=hasse,
+    # the symbol can be nontrivial only at the real place, 2 and the primes
+    # dividing some entry; it is stored at the real place, 2, the primes of
+    # the det class and any place where it is -1, so the result does not
+    # depend on which diagonalization was used
+    always = {0, 2, *sympy.primefactors(detc)}
+    hasse = []
+    for q in sorted(always | set(sympy.primefactors(prod))):
+        v = Place(q)
+        eps = hasse_invariant(d, v)
+        if q in always or eps == -1:
+            hasse.append((v, eps))
+    return SpaceInvariants(rank=len(d), det_class=detc, hasse=tuple(hasse),
                            signature=(pos, neg))
-
-
-def _prod(xs):
-    out = Fraction(1)
-    for x in xs:
-        out *= x
-    return out
 
 
 def space_invariants(S: GramMatrix) -> SpaceInvariants:
@@ -381,38 +379,63 @@ def jordan_decomposition(S: GramMatrix, p: int) -> JordanSplitting:
 # ---------------------------------------------------------------------------
 # isotropy and space representability
 
+def _complement(ambient: tuple[int, int, int], target: tuple[int, int, int],
+                v: Place) -> tuple[int, int, int]:
+    """(rank, det, Hasse symbol at v) of the space W with V = U + W an
+    orthogonal sum over Q_v, from those of V (ambient) and U (target).
+
+    Witt cancellation fixes W up to isometry: d(W) = d(V) d(U) and
+    c_v(W) = c_v(V) c_v(U) (d(U), d(W))_v.  A det is any nonzero integer of
+    its square class."""
+    n, d_amb, eps_amb = ambient
+    m, d_tgt, eps_tgt = target
+    d = d_amb * d_tgt
+    return n - m, d, eps_amb * eps_tgt * hilbert_symbol(d_tgt, d, v)
+
+
+def _isotropic(rank: int, d: int, eps: int, v: Place) -> bool:
+    """Is a space over Q_v (v finite) with rank, det d and Hasse symbol eps
+    isotropic?  Classical classification."""
+    if rank <= 1:
+        return False
+    if rank == 2:
+        return is_local_square(-d, v)
+    if rank == 3:
+        return eps != -hilbert_symbol(-1, -d, v)
+    if rank == 4:
+        return not (is_local_square(d, v) and eps == -hilbert_symbol(-1, -1, v))
+    return True
+
+
 def is_isotropic(inv: SpaceInvariants, v: Place) -> bool:
     """Does the space contain a nonzero vector of Q-value zero over the
-    completion at v?  Classical classification."""
+    completion at v?"""
     if v.is_real:
         pos, neg = inv.signature
         return pos > 0 and neg > 0
-    n = inv.rank
-    d = inv.det_class
-    eps = inv.hasse_at(v)
-    if n <= 1:
-        return False
-    if n == 2:
-        return same_square_class(d, -1, v)
-    if n == 3:
-        return eps != -hilbert_symbol(-1, -d, v)
-    if n == 4:
-        anisotropic = is_local_square(d, v) and eps == -hilbert_symbol(-1, -1, v)
-        return not anisotropic
-    return True
+    return _isotropic(*inv.local(v), v)
+
+
+def complement_isotropic(ambient: SpaceInvariants, T: GramMatrix,
+                         v: Place) -> bool:
+    """Is the orthogonal complement of T in the ambient space isotropic over
+    Q_v (v finite)?  T must embed in the ambient space over Q_v; of T only
+    its det and its Hasse symbol at v are computed."""
+    _, diag = congruence_diagonalization(T)
+    target = (T.n, det(T), hasse_invariant(diag, v))
+    return _isotropic(*_complement(ambient.local(v), target, v), v)
 
 
 def _space_exists(rank: int, det_class: int, hasse: int, v: Place) -> bool:
     """Is there a quadratic space over Q_v with these invariants?
     (Finite v only; rank >= 0.)"""
     if rank == 0:
-        return det_class == 1 and hasse == 1
+        return is_local_square(det_class, v) and hasse == 1
     if rank == 1:
         return hasse == 1
     if rank == 2:
-        if same_square_class(det_class, -1, v) and hasse == -hilbert_symbol(-1, -1, v):
-            return False
-        return True
+        return not (is_local_square(-det_class, v)
+                    and hasse == -hilbert_symbol(-1, -1, v))
     return True
 
 
@@ -426,11 +449,4 @@ def space_represents(target: SpaceInvariants, ambient: SpaceInvariants,
     if v.is_real:
         return (target.signature[0] <= ambient.signature[0]
                 and target.signature[1] <= ambient.signature[1])
-    k = ambient.rank - target.rank
-    d_comp = squarefree_class(Fraction(target.det_class) * ambient.det_class)
-    eps_comp = (ambient.hasse_at(v) * target.hasse_at(v)
-                * hilbert_symbol(target.det_class, d_comp, v))
-    if k == 0:
-        return (same_square_class(target.det_class, ambient.det_class, v)
-                and target.hasse_at(v) == ambient.hasse_at(v))
-    return _space_exists(k, d_comp, eps_comp, v)
+    return _space_exists(*_complement(ambient.local(v), target.local(v), v), v)

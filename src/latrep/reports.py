@@ -6,6 +6,16 @@ facts the representation theorem's hypotheses are about; the report
 never claims the theorem, only the computed facts.  scan_family runs the
 same pipeline over a family of targets and aggregates an empirical
 substitute for the ineffective threshold constant.
+
+Condition (i)'s isotropy at q needs no witness.  By Witt cancellation the
+orthogonal complement W of T in S (x) Q_q is fixed up to isometry, with
+d(W) = d(S) d(T) and c_q(W) = c_q(S) c_q(T) (d(T), d(W))_q, so it is
+decided from space_invariants(S), taken once per call or scan, and the
+det and Hasse symbol of T at q.  isotropy_method reports "shortcut" (rank
+gap at least 5, or unit discriminants at an odd q with rank gap at least
+3; at q = 2 that clause would be wrong, as the complement I3 of diag(1)
+in I4 shows) or "invariants", and "skipped" when some local certificate
+is not representable.
 """
 
 from __future__ import annotations
@@ -21,10 +31,10 @@ import sympy
 from .enumeration import Embedding, find_representations, lattice_minimum
 from .genus import enumerate_genus
 from .localrep import (REPRESENTABLE, UNDECIDED, auto_isotropy_shortcut,
-                       complement_isotropic_at_q,
                        represents_locally_everywhere)
 from .matrices import GramMatrix, det, is_positive_definite
-from .padic import ord_p
+from .padic import (Place, SpaceInvariants, complement_isotropic, ord_p,
+                    space_invariants)
 
 
 @dataclass(frozen=True)
@@ -56,21 +66,13 @@ class HypothesisReport:
         }
 
 
-def _isotropy_at_q(S: GramMatrix, T: GramMatrix, q: int, c: int,
-                   certs: dict) -> tuple[bool | None, str]:
-    """Complement isotropy at q, trying the automatic shortcut first."""
+def _isotropy_at_q(invS: SpaceInvariants, S: GramMatrix, T: GramMatrix,
+                   q: int) -> tuple[bool, str]:
+    """Complement isotropy at q: the automatic shortcut, else the
+    complement's invariants from those of S and T."""
     if auto_isotropy_shortcut(S, T, q):
         return True, "shortcut"
-    from .padic import Place
-    cert = certs.get(Place.finite(q))
-    if cert is None:
-        # q outside the relevant prime set with the shortcut inapplicable:
-        # decide with a fresh local certificate
-        from .localrep import represents_over_Zp
-        cert = represents_over_Zp(S, T, q, c)
-    if cert.status != REPRESENTABLE or cert.witness is None:
-        return None, "no witness"
-    return complement_isotropic_at_q(S, cert.witness, q), "witness"
+    return complement_isotropic(invS, T, Place.finite(q)), "invariants"
 
 
 def check_theorem_hypotheses(S: GramMatrix, T: GramMatrix, q: int, j: int,
@@ -86,7 +88,8 @@ def check_theorem_hypotheses(S: GramMatrix, T: GramMatrix, q: int, j: int,
     per_place = {str(p): cert.to_dict() for p, cert in sorted(certs.items())}
     all_rep = all(cert.status == REPRESENTABLE for cert in certs.values())
     undecided = any(cert.status == UNDECIDED for cert in certs.values())
-    isotropic, how = _isotropy_at_q(S, T, q, c, certs) if all_rep else (None, "skipped")
+    isotropic, how = (_isotropy_at_q(space_invariants(S), S, T, q) if all_rep
+                      else (None, "skipped"))
     cond_i = {"places": per_place,
               "complement_isotropic_at_q": isotropic,
               "isotropy_method": how}
@@ -196,6 +199,7 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
     if not genus.complete:
         raise ValueError("genus enumeration did not close under the cap")
     total_classes = len(genus.classes)
+    invS = space_invariants(S)
 
     rows: list[ScanRow] = []
     exceptions: list[tuple] = []
@@ -214,12 +218,8 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
                                 exception=False))
             continue
         certs = represents_locally_everywhere(S, T, c)
-        all_rep = all(cert.status == REPRESENTABLE for cert in certs.values())
-        if all_rep:
-            isotropic, _ = _isotropy_at_q(S, T, q, c, certs)
-            local_ok = isotropic is True
-        else:
-            local_ok = False
+        local_ok = (all(cert.status == REPRESENTABLE for cert in certs.values())
+                    and _isotropy_at_q(invS, S, T, q)[0])
         if not local_ok:
             rows.append(ScanRow(target=diag, det=dT, mu=None, local_ok=False,
                                 classes_total=None, classes_representing=None,

@@ -20,10 +20,11 @@ def _squares_mod(m: int) -> frozenset:
     return frozenset((z * z) % m for z in range(m))
 
 
-def hilbert_oracle(a: int, b: int, p: int) -> bool:
+def hilbert_oracle(a: int, b: int, p: int, k: int | None = None) -> bool:
     """Solvability of z^2 = a x^2 + b y^2 with a nontrivial p-adic solution,
-    by exhaustive search mod p^k with k comfortably above the valuations
-    of a and b.
+    by exhaustive search mod p^k.  By default k is comfortably above the
+    valuations of a and b; `hilbert_class_oracle` passes the smaller k its
+    Hensel argument needs.
 
     A Z_p solution scaled primitive has x or y a unit: if both were
     divisible by p then z would be too, contradicting primitivity after
@@ -36,8 +37,9 @@ def hilbert_oracle(a: int, b: int, p: int) -> bool:
             v += 1
         return v
 
-    vmax = max(vp(abs(a)), vp(abs(b)))
-    k = (2 * vmax + 7) if p == 2 else (2 * vmax + 3)
+    if k is None:
+        vmax = max(vp(abs(a)), vp(abs(b)))
+        k = (2 * vmax + 7) if p == 2 else (2 * vmax + 3)
     m = p ** k
     squares = _squares_mod(m)
     for x in range(m):
@@ -47,6 +49,128 @@ def hilbert_oracle(a: int, b: int, p: int) -> bool:
             if (a * x * x + b * y * y) % m in squares:
                 return True
     return False
+
+
+def _class_rep(a: int, p: int) -> int:
+    """p^(v mod 2) * (u mod 8 or mod p) for a = p^v u: the same square class
+    in Q_p as a, with valuation at most 1 and a small unit part."""
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return p ** (v % 2) * (a % (8 if p == 2 else p))
+
+
+@lru_cache(maxsize=None)
+def _hilbert_of_reps(a: int, b: int, p: int) -> bool:
+    # For valuations at most 1, a primitive solution mod p^k lifts to Z_p
+    # (Hensel) once k > 2 v(dF) for one of the partials dF = 2ax, 2by, 2z:
+    # v = 0 (odd p) or 1 (p = 2) when z, or x with v(a) = 0, or y with
+    # v(b) = 0, is a unit.  Otherwise v(a) = v(b) = 1 and z is not a unit;
+    # a unit x (or y) then gives v = 1 at odd p, and at p = 2 both x and y
+    # are units, v = 2.  Any other primitive solution is impossible mod p^2
+    # or mod 4.
+    return hilbert_oracle(a, b, p, k=5 if p == 2 else 3)
+
+
+def hilbert_class_oracle(a: int, b: int, p: int) -> bool:
+    """hilbert_oracle on the square-class representatives of the nonzero
+    integers a and b, so that the search stays small."""
+    return _hilbert_of_reps(_class_rep(a, p), _class_rep(b, p), p)
+
+
+def _square_class_reps(p: int) -> list[int]:
+    if p == 2:
+        return [1, 3, 5, 7, 2, 6, 10, 14]
+    residues = {x * x % p for x in range(1, p)}
+    nr = next(x for x in range(2, p) if x not in residues)
+    return [1, nr, p, nr * p]
+
+
+def isotropic_diagonal_oracle(d, p: int) -> bool:
+    """Is sum d_i x_i^2 (nonzero integers d_i) isotropic over Q_p?  Decided
+    from Hilbert symbols alone:
+    - rank 2: -d1 d2 is a square, i.e. (-d1 d2, t)_p = 1 for every t;
+    - rank 3: z^2 = (-d1/d3) x^2 + (-d2/d3) y^2 is solvable;
+    - rank 4: <d1, d2> and <-d3, -d4> represent a common class t, where
+      <a, b> represents t iff <a, b, -t> is isotropic;
+    - rank >= 5: always (Serre, A Course in Arithmetic, IV.2.2, Thm 6)."""
+    n = len(d)
+    reps = _square_class_reps(p)
+
+    def h(a, b):
+        return hilbert_class_oracle(a, b, p)
+
+    if n <= 1:
+        return False
+    if n == 2:
+        return all(h(-d[0] * d[1], t) for t in reps)
+    if n == 3:
+        return h(-d[0] * d[2], -d[1] * d[2])
+    if n == 4:
+        return any(h(d[0] * t, d[1] * t) and h(-d[2] * t, -d[3] * t)
+                   for t in reps)
+    return True
+
+
+def complement_isotropic_oracle(S_entries, X_entries, q: int) -> bool:
+    """Is the orthogonal complement of the column span of X in S (both
+    integer lists, X^t S X nonsingular) isotropic over Q_q?  The witness
+    route, on plain lists: an integer kernel basis of X^t S, the Gram of
+    that basis diagonalised in Fractions, and the isotropy of the diagonal
+    form from Hilbert symbols computed by search."""
+    from fractions import Fraction
+    from math import lcm
+    n, m = len(S_entries), len(X_entries[0])
+    rows = [[Fraction(sum(X_entries[i][c] * S_entries[i][j] for i in range(n)))
+             for j in range(n)] for c in range(m)]
+    pivots = []
+    for col in range(n):  # reduced row echelon form
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    kernel = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free]
+        scale = lcm(*(x.denominator for x in v))
+        kernel.append([int(x * scale) for x in v])
+    g = [[Fraction(sum(u[i] * S_entries[i][j] * w[j]
+                       for i in range(n) for j in range(n)))
+          for w in kernel] for u in kernel]
+    k = len(g)
+    diag = []
+    for i in range(k):  # congruence diagonalisation
+        if g[i][i] == 0:
+            j = next((j for j in range(i + 1, k) if g[j][j] != 0), None)
+            if j is None:
+                j = next(j for j in range(i + 1, k) if g[i][j] != 0)
+                # x_i <- x_i + x_j: Q(x_i) becomes 2 B(x_i, x_j) != 0
+                for r in range(k):
+                    g[r][i] += g[r][j]
+                g[i] = [x + y for x, y in zip(g[i], g[j])]
+            else:
+                g[i], g[j] = g[j], g[i]
+                for r in g:
+                    r[i], r[j] = r[j], r[i]
+        for j in range(i + 1, k):
+            f = g[j][i] / g[i][i]
+            if f:
+                g[j] = [x - f * y for x, y in zip(g[j], g[i])]
+                for r in g:
+                    r[j] -= f * r[i]
+        diag.append(g[i][i].numerator * g[i][i].denominator)
+    return isotropic_diagonal_oracle(diag, q)
 
 
 def box_vectors(entries, bound):
@@ -117,10 +241,12 @@ def local_rep_oracle(S_entries, T_entries, p: int, c: int, N: int,
     margin certificate; returns 'representable', 'not_representable' or
     'unknown' (solutions exist at this precision but none certified).
 
-    Independent implementation: the full solution list of each diagonal
-    congruence Q(x) = T_kk mod p^i is built by iterated lifting (every
-    mod-p^N solution truncates to a mod-p^i solution, so filtering each
-    level is complete), then columns are paired by brute force."""
+    Independent implementation: the solutions of each diagonal congruence
+    Q(x) = T_kk mod p^N are walked depth first through the lifting tree of
+    Q(x) = T_kk mod p^i (every mod-p^N solution truncates to a mod-p^i
+    solution, so filtering each level is complete), and the columns are
+    paired by brute force.  The walk stops at the first certified tuple;
+    the verdict does not depend on the order of the walk."""
     n = len(S_entries)
     m = len(T_entries)
     pN = p ** N
@@ -150,22 +276,22 @@ def local_rep_oracle(S_entries, T_entries, p: int, c: int, N: int,
         return sum(S_entries[i][j] * x[i] * y[j]
                    for i in range(n) for j in range(n))
 
-    def col_candidates(k):
+    def col_solutions(k):
         t = T_entries[k][k]
-        level = [xs for xs in product(range(p), repeat=n)
-                 if (sdot(xs, xs) - t) % p == 0]
-        mod = p
-        for _ in range(1, N):
-            mod *= p
-            step = mod // p
-            nxt = []
-            for xs in level:
-                for digits in product(range(p), repeat=n):
-                    ys = tuple(x + d * step for x, d in zip(xs, digits))
-                    if (sdot(ys, ys) - t) % mod == 0:
-                        nxt.append(ys)
-            level = nxt
-        return level
+
+        def lift(xs, mod):  # xs solves Q(x) = t mod `mod`
+            if mod == pN:
+                yield xs
+                return
+            step, mod = mod, mod * p
+            for digits in product(range(p), repeat=n):
+                ys = tuple(x + d * step for x, d in zip(xs, digits))
+                if (sdot(ys, ys) - t) % mod == 0:
+                    yield from lift(ys, mod)
+
+        for xs in product(range(p), repeat=n):
+            if (sdot(xs, xs) - t) % p == 0:
+                yield from lift(xs, p)
 
     dT = T_entries[0][0] if m == 1 else (
         T_entries[0][0] * T_entries[1][1] - T_entries[0][1] * T_entries[1][0])
@@ -194,26 +320,31 @@ def local_rep_oracle(S_entries, T_entries, p: int, c: int, N: int,
             vals.append((vp_cap(g2) - vals[0]) if g2 else N)
         return vals
 
-    cands = [col_candidates(k) for k in range(m)]
-    work = 1
-    for lst in cands:
-        work *= max(len(lst), 1)
-    if work > pair_cap:
-        raise RuntimeError(f"oracle instance too large ({work} pairs)")
-
     found_any = False
-    for cols in product(*cands):
-        ok = all((sdot(cols[i], cols[j]) - T_entries[i][j]) % pN == 0
-                 for i in range(m) for j in range(i + 1, m))
-        if not ok:
-            continue
-        if any(v > ordc for v in divisor_vals(cols)):
-            continue
-        found_any = True
-        dG = gram_det(cols)
-        vd = vp_cap(dG) if dG else N
-        if vd <= margin and 2 * vd < N:
-            return "representable"
+    visited = 0
+
+    def search(cols) -> bool:
+        """True at the first certified tuple extending cols."""
+        nonlocal found_any, visited
+        k = len(cols)
+        if k == m:
+            if any(v > ordc for v in divisor_vals(cols)):
+                return False
+            found_any = True
+            dG = gram_det(cols)
+            vd = vp_cap(dG) if dG else N
+            return vd <= margin and 2 * vd < N
+        for col in col_solutions(k):
+            visited += 1
+            if visited > pair_cap:
+                raise RuntimeError(f"oracle instance too large (>{pair_cap} columns)")
+            if all((sdot(cols[i], col) - T_entries[i][k]) % pN == 0
+                   for i in range(k)) and search(cols + [col]):
+                return True
+        return False
+
+    if search([]):
+        return "representable"
     return "unknown" if found_any else "not_representable"
 
 

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from oracles import draw_local_instance, local_rep_oracle
+from oracles import (complement_isotropic_oracle, draw_local_instance,
+                     local_rep_oracle, random_pos_def_entries)
 
 from latrep.localrep import (NOT_REPRESENTABLE, REPRESENTABLE, UNDECIDED,
                              _smith_valuations, auto_isotropy_shortcut,
                              complement_isotropic_at_q,
                              represents_locally_everywhere, represents_over_Zp)
-from latrep.matrices import (GramMatrix, IntMatrix, det, is_positive_definite,
-                             smith_normal_form)
+from latrep.matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
+                             is_positive_definite, smith_normal_form)
 from latrep.padic import Place, REAL, ord_p
 
 rng = random.Random(31337)
@@ -182,9 +183,36 @@ def test_complement_isotropic_at_q():
     assert complement_isotropic_at_q(I3, X3, 5)
 
 
+def test_complement_isotropic_matches_oracle():
+    """The invariant route against the witness route of the oracle: an
+    integer kernel, a Fraction diagonalisation and Hilbert symbols by
+    search, on plain lists."""
+    draw = random.Random(6006)
+    for trial in range(1200):
+        n = draw.randint(3, 7)
+        m = draw.randint(1, n - 1)
+        S_rows = (random_pos_def_entries(draw, n, spread=1, bump=3)
+                  if trial % 4 else
+                  [[draw.randint(1, 12) if i == j else 0 for j in range(n)]
+                   for i in range(n)])
+        while True:
+            X_rows = [[draw.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+            X = IntMatrix(X_rows)
+            if det(gram_of_columns(GramMatrix(S_rows), X)) != 0:
+                break
+        q = draw.choice((2, 3, 5, 7))
+        expect = complement_isotropic_oracle(S_rows, X_rows, q)
+        assert complement_isotropic_at_q(GramMatrix(S_rows), X, q) == expect, \
+            (S_rows, X_rows, q)
+
+
 def test_auto_isotropy_shortcut():
     assert auto_isotropy_shortcut(GramMatrix.identity(6),
                                   GramMatrix.diagonal([1]), 3)  # m <= n-5
     assert auto_isotropy_shortcut(I5, GramMatrix.diagonal([5]), 3)  # units, gap 4
     assert not auto_isotropy_shortcut(I5, GramMatrix.diagonal([3]), 3)
     assert not auto_isotropy_shortcut(I4, GramMatrix.diagonal([1, 1]), 3)
+    # unit discriminants do not force isotropy at 2: the complements I3 of
+    # diag(1) in I4 and of diag(1, 1) in I5 are anisotropic over Q_2
+    assert not auto_isotropy_shortcut(I4, GramMatrix.diagonal([1]), 2)
+    assert not auto_isotropy_shortcut(I5, GramMatrix.diagonal([1, 1]), 2)

@@ -11,7 +11,7 @@ from latrep.padic import (Place, REAL, hasse_invariant, hilbert_symbol,
                           ord_p, space_invariants, space_represents,
                           squarefree_class, unit_part)
 
-from oracles import hilbert_oracle
+from oracles import hilbert_class_oracle, hilbert_oracle
 
 rng = random.Random(97)
 
@@ -83,6 +83,37 @@ def test_hilbert_reciprocity():
             for v in places_for(a, b):
                 prod *= hilbert_symbol(a, b, v)
             assert prod == 1, (a, b)
+
+
+def test_hilbert_of_rationals_matches_oracle_on_num_den():
+    """(a, b)_p for signed rationals with denominators equals the search on
+    the integers num*den, which lie in the same square classes."""
+    draw = random.Random(4242)
+    for p in (2, 3, 5, 7):
+        for _ in range(60):
+            a, b = (Fraction(draw.choice([x for x in range(-60, 61) if x]),
+                             draw.randint(1, 60)) for _ in range(2))
+            na, nb = a.numerator * a.denominator, b.numerator * b.denominator
+            got = hilbert_symbol(a, b, Place.finite(p)) == 1
+            assert got == hilbert_class_oracle(na, nb, p), (a, b, p)
+            if p < 5 and ord_p(na, p) <= 1 and ord_p(nb, p) <= 1:
+                # the plain search at its default precision, where it is cheap
+                assert got == hilbert_oracle(na, nb, p), (a, b, p)
+
+
+def test_int_inputs_build_no_fraction(monkeypatch):
+    import latrep.padic as padic
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built from an int input")
+
+    monkeypatch.setattr(padic, "Fraction", no_fraction)
+    v = Place.finite(3)
+    assert hilbert_symbol(3, -6, v) == hilbert_symbol(-6, 3, v)
+    assert is_local_square(12, Place.finite(2)) is False
+    assert hasse_invariant([1, 2, 3, 6], v) in (1, -1)
+    assert invariants_of_diagonal([1, 2, 3]).det_class == 6
+    assert squarefree_class(-50) == -2
 
 
 def test_hilbert_matches_solvability_oracle():

@@ -1,16 +1,33 @@
 """Property tests: results must not change under a GL_n(Z) change of basis."""
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latrep.enumeration import lattice_minimum
 from latrep.genus import _genus_symbol, is_isometric
+from latrep.localrep import complement_isotropic_at_q
 from latrep.matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
-                             det_int, gram_of_columns, is_positive_definite)
+                             det_int, gram_of_columns, invert_unimodular,
+                             is_positive_definite)
 from latrep.padic import space_invariants
+from latrep.reports import check_theorem_hypotheses
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def unimodular(draw, n):
+    """A matrix in GL_n(Z) from signs and elementary moves."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    moves = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.sampled_from((-1, 1))),
+                          max_size=3 * n))
+    for i, j, f in moves:
+        if i != j:
+            U[i] = [x + f * y for x, y in zip(U[i], U[j])]
+        else:
+            U[i] = [f * x for x in U[i]]
+    return IntMatrix(U)
 
 
 @st.composite
@@ -24,16 +41,43 @@ def lattice_and_basis_change(draw):
     D = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     S = GramMatrix([[sum(B[k][i] * B[k][j] for k in range(n)) + (D[i] if i == j else 0)
                      for j in range(n)] for i in range(n)])
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    moves = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                    st.sampled_from((-1, 1))),
-                          max_size=3 * n))
-    for i, j, f in moves:
-        if i != j:
-            U[i] = [x + f * y for x, y in zip(U[i], U[j])]
-        else:
-            U[i] = [f * x for x in U[i]]
-    return S, IntMatrix(U)
+    return S, unimodular(draw, n)
+
+
+@st.composite
+def embedding_and_basis_changes(draw):
+    """A small positive definite S of rank 4..6, the columns X (entries
+    -1..1, rank m = 1..2) of a sublattice, a prime q, and basis changes U of
+    S and V of T = X^t S X."""
+    n = draw(st.integers(4, 6))
+    B = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    D = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    S = GramMatrix([[sum(B[k][i] * B[k][j] for k in range(n)) + (D[i] if i == j else 0)
+                     for j in range(n)] for i in range(n)])
+    m = draw(st.integers(1, 2))
+    X = IntMatrix(draw(st.lists(st.lists(st.integers(-1, 1), min_size=m, max_size=m),
+                                min_size=n, max_size=n)))
+    assume(det(gram_of_columns(S, X)) != 0)
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    return S, X, q, unimodular(draw, n), unimodular(draw, m)
+
+
+@PROPERTY_SETTINGS
+@given(embedding_and_basis_changes())
+def test_condition_i_unchanged_by_basis_changes(case):
+    """X2 = U^-1 X V represents T2 = V^t T V in S2 = U^t S U; condition (i)
+    and the complement isotropy must not see either basis change."""
+    S, X, q, U, V = case
+    S2 = gram_of_columns(S, U)
+    X2 = invert_unimodular(U) @ X @ V
+    T, T2 = gram_of_columns(S, X), gram_of_columns(S2, X2)
+    assert T2.entries == gram_of_columns(T, V).entries
+    assert complement_isotropic_at_q(S, X, q) == complement_isotropic_at_q(S2, X2, q)
+    r, r2 = (check_theorem_hypotheses(A, B, q, 1, 1, 0) for A, B in ((S, T), (S2, T2)))
+    assert r.condition_i_ok == r2.condition_i_ok
+    assert (r.condition_i["complement_isotropic_at_q"]
+            == r2.condition_i["complement_isotropic_at_q"])
 
 
 @PROPERTY_SETTINGS

@@ -43,6 +43,29 @@ def test_check_theorem_hypotheses_i8():
     assert not report.undecided
 
 
+def test_check_isotropy_from_invariants():
+    # 3 | det T, so no shortcut: the complement of diag(3) in I5 has rank
+    # 4 and det class 3, not a square at 3, so it is isotropic there
+    report = check_theorem_hypotheses(GramMatrix.identity(5),
+                                      GramMatrix.diagonal([3]),
+                                      q=3, j=1, c=1, C=0)
+    assert report.condition_i["isotropy_method"] == "invariants"
+    assert report.condition_i["complement_isotropic_at_q"] is True
+    assert report.condition_i_ok
+
+
+@pytest.mark.parametrize("n, target", [(4, [1]), (5, [1, 1])])
+def test_check_unit_discriminants_at_two(n, target):
+    # the complement is I3, anisotropic over Q_2 since (-1, -1)_2 = -1;
+    # unit discriminants force isotropy only at odd q
+    report = check_theorem_hypotheses(GramMatrix.identity(n),
+                                      GramMatrix.diagonal(target),
+                                      q=2, j=1, c=1, C=0)
+    assert report.condition_i["complement_isotropic_at_q"] is False
+    assert report.condition_i["isotropy_method"] == "invariants"
+    assert not report.condition_i_ok
+
+
 def test_check_rank_check_fails():
     report = check_theorem_hypotheses(GramMatrix.identity(3),
                                       GramMatrix.diagonal([1]),
