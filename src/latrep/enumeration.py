@@ -5,6 +5,11 @@ scaled Gram-Schmidt coefficients, no rationals), fraction-free
 Fincke-Pohst enumeration on the same integers (shifted cosets scaled by the
 determinant), global representation search X^t S X = T, imprimitivity
 measurement and representation extension.  No floating point anywhere.
+
+The column search keeps one kernel frame per column prefix (the Smith form
+of the prefix's linear constraints, the LLL-reduced kernel and the
+adjugate of its Gram), under the one cache policy, so each candidate
+column costs one particular solution and one shifted enumeration.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from math import isqrt
 from operator import mul
 from typing import Iterator, Sequence
 
-from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, _det_bareiss,
-                       column_hnf, det, det_int, elementary_divisors,
-                       gram_of_columns, inner_product, integral_gram_schmidt,
+from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, adjugate,
+                       column_hnf, det_int, elementary_divisors,
+                       gram_of_columns, integral_gram_schmidt,
                        invert_unimodular, is_positive_definite, saturate,
                        smith_normal_form, solve_integer_columns)
 
@@ -256,64 +261,86 @@ class Embedding:
                 "imprimitivity_bound": self.imprimitivity_bound}
 
 
-def _solve_linear_over_Z(A: IntMatrix, rhs: list[int]
-                         ) -> tuple[list[int], list[tuple[int, ...]]] | None:
-    """Particular integer solution of A x = rhs plus a kernel basis, or
-    None when no integer solution exists."""
-    snf = smith_normal_form(A)
-    k, n = A.rows, A.cols
-    ut = [sum(snf.U.entries[i][j] * rhs[j] for j in range(k)) for i in range(k)]
-    rank = sum(1 for d in snf.divisors if d != 0)
-    if any(ut[i] != 0 for i in range(rank, k)):
-        return None
-    w = [0] * n
-    for i in range(rank):
-        d = snf.divisors[i]
-        if ut[i] % d != 0:
-            return None
-        w[i] = ut[i] // d
-    x0 = [sum(snf.V.entries[i][j] * w[j] for j in range(n)) for i in range(n)]
-    kernel = [snf.V.column(j) for j in range(rank, n)]
-    return x0, kernel
+@dataclass(frozen=True)
+class _KernelFrame:
+    """What the column search needs of the prior columns v_j alone.
+
+    With A = (S v_j)^t and U A V = diag(divisors), x^t S v_j = inners[j]
+    has the integer solutions x0 + B y: x0 = V[:, :rank] w for w_i =
+    (U inners)_i / divisors[i], and B = V[:, rank:] times the LLL transform
+    of its Gram Gred.  adj = adj(Gred) and D = det(Gred) complete the
+    square.  The kernel fields B, BtS, Gred, D and adj are None when A has
+    full column rank.  Cached and shared between calls, so every field is
+    immutable."""
+
+    U: tuple[tuple[int, ...], ...]
+    divisors: tuple[int, ...]  # the rank nonzero Smith divisors of A
+    V: tuple[tuple[int, ...], ...]  # rows of V[:, :rank]
+    B: tuple[tuple[int, ...], ...] | None
+    BtS: tuple[tuple[int, ...], ...] | None  # B^t S
+    Gred: GramMatrix | None
+    D: int | None
+    adj: tuple[tuple[int, ...], ...] | None
 
 
-def _constrained_candidates(S: GramMatrix, prior: list[tuple[int, ...]],
-                            inners: list[int], norm: int
+@lru_cache(maxsize=CACHE_SIZE)
+def _kernel_frame(S: GramMatrix, prior: tuple[tuple[int, ...], ...]
+                  ) -> _KernelFrame:
+    n = S.n
+    snf = smith_normal_form(IntMatrix(
+        [[sum(map(mul, row, v)) for row in S.entries] for v in prior]))
+    divisors = tuple(d for d in snf.divisors if d != 0)
+    rank = len(divisors)
+    V = tuple(row[:rank] for row in snf.V.entries)
+    if rank == n:
+        return _KernelFrame(snf.U.entries, divisors, V,
+                            None, None, None, None, None)
+    K = IntMatrix([row[rank:] for row in snf.V.entries])
+    Gred, U = lll_reduce(gram_of_columns(S, K))
+    B = K @ U  # the Gram of B's columns is Gred
+    BtS = tuple(tuple(sum(map(mul, col, row)) for row in S.entries)
+                for col in B.columns())
+    adj, D = adjugate(Gred)
+    return _KernelFrame(snf.U.entries, divisors, V,
+                        B.entries, BtS, Gred, D, adj)
+
+
+def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
+                            inners: Sequence[int], norm: int
                             ) -> Iterator[tuple[int, ...]]:
     """All x with x^t S v_j = inners[j] for the prior columns v_j and
     Q(x) = norm, by exact enumeration of the shifted kernel lattice.
 
     Avoids scanning the full norm-`norm` sphere when the linear
     constraints cut it down to a thin slice."""
-    n = S.n
-    A = IntMatrix([[sum(map(mul, row, v)) for row in S.entries] for v in prior])
-    solved = _solve_linear_over_Z(A, inners)
-    if solved is None:
+    f = _kernel_frame(S, tuple(prior))
+    ut = [sum(map(mul, row, inners)) for row in f.U]
+    rank = len(f.divisors)
+    if any(ut[rank:]):
         return
-    x0, kernel = solved
-    if not kernel:
-        if inner_product(S, tuple(x0), tuple(x0)) == norm:
-            yield tuple(x0)
+    w = []
+    for u, d in zip(ut, f.divisors):
+        q, r = divmod(u, d)
+        if r:
+            return
+        w.append(q)
+    x0 = tuple(sum(map(mul, row, w)) for row in f.V)
+    q0 = S.value(x0)
+    if f.Gred is None:
+        if q0 == norm:
+            yield x0
         return
-    K = IntMatrix.from_columns(kernel)
-    G = gram_of_columns(S, K)
-    Gred, U = lll_reduce(G)
-    B = K @ U  # x = x0 + B y, Gram of B's columns is Gred
-    k = Gred.n
     # complete the square: with Gred m = D cvec, D = det(Gred), D^2 Q(x0 + B y)
-    # = D^2 Q_red(y + m/D) + D^2 q0 - D cvec.m; m by Cramer's rule
-    Sx0 = [sum(map(mul, row, x0)) for row in S.entries]
-    cvec = [sum(map(mul, col, Sx0)) for col in B.columns()]
-    q0 = sum(map(mul, x0, Sx0))
-    D = det(Gred)
-    m = [_det_bareiss([row[:i] + [c] + row[i + 1:]
-                       for row, c in zip(map(list, Gred.entries), cvec)])
-         for i in range(k)]
+    # = D^2 Q_red(y + m/D) + D^2 q0 - D cvec.m, where cvec = B^t S x0 and
+    # m = adj(Gred) cvec
+    D = f.D
+    cvec = [sum(map(mul, row, x0)) for row in f.BtS]
+    m = [sum(map(mul, row, cvec)) for row in f.adj]
     t = D * D * (norm - q0) + D * sum(map(mul, cvec, m))
     if t < 0:
         return
-    for y, _ in _enumerate(Gred, t, shift=(m, D), sphere=True):
-        yield tuple(x0[i] + sum(map(mul, B.entries[i], y)) for i in range(n))
+    for y, _ in _enumerate(f.Gred, t, shift=(m, D), sphere=True):
+        yield tuple(x + sum(map(mul, row, y)) for x, row in zip(x0, f.B))
 
 
 def _column_search(S: GramMatrix, T: GramMatrix,
@@ -332,8 +359,7 @@ def _column_search(S: GramMatrix, T: GramMatrix,
             candidates = _vectors_of_norm_iter(S, T.entries[0][0])
         else:
             candidates = _constrained_candidates(
-                S, chosen, [T.entries[j][k] for j in range(k)],
-                T.entries[k][k])
+                S, chosen, T.entries[k][:k], T.entries[k][k])
         for v in candidates:
             chosen.append(v)
             yield from extend(k + 1)
@@ -443,20 +469,13 @@ def superlattices_of_prime_index(G: GramMatrix, d: int) -> list[tuple[GramMatrix
 
 
 def _rational_congruence(G: GramMatrix, H: IntMatrix, d: int) -> list[list[int]]:
-    """(H/d)^t G (H/d), which must be integral."""
-    m = G.n
+    """(H/d)^t G (H/d) = H^t G H / d^2, which must be integral."""
     rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            v = Fraction(0)
-            for a in range(m):
-                for b in range(m):
-                    v += Fraction(H.entries[a][i] * G.entries[a][b] * H.entries[b][j], d * d)
-            if v.denominator != 1:
-                raise AssertionError("superlattice Gram not integral")
-            row.append(v.numerator)
-        rows.append(row)
+    for row in gram_of_columns(G, H).entries:
+        qr = [divmod(v, d * d) for v in row]
+        if any(r for _, r in qr):
+            raise AssertionError("superlattice Gram not integral")
+        rows.append([q for q, _ in qr])
     return rows
 
 

@@ -199,6 +199,27 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def adjugate(S: GramMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj(S), det(S)) for S with nonzero leading principal minors (a
+    positive definite Gram), by fraction-free Gauss-Jordan on [S | I]:
+    every division by the previous pivot is exact, the left block ends as
+    det(S) I and the right block as adj(S)."""
+    n = S.n
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(S.entries)]
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot == 0:
+            raise ValueError("adjugate needs nonzero leading minors")
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = pivot
+    return tuple(tuple(row[n:]) for row in a), prev
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _det_cached(entries: tuple[tuple[int, ...], ...]) -> int:
     return _det_bareiss([list(r) for r in entries])

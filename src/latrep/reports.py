@@ -141,7 +141,8 @@ def parse_family(spec: str) -> tuple[str, Iterator[GramMatrix]]:
 
 @dataclass(frozen=True)
 class ScanRow:
-    target: tuple
+    target: tuple  # the diagonal of T
+    gram: tuple[tuple[int, ...], ...]  # all of T
     det: int
     mu: int | None
     local_ok: bool
@@ -150,7 +151,9 @@ class ScanRow:
     exception: bool
 
     def as_record(self) -> dict:
-        return {"target": list(self.target), "det": self.det, "mu": self.mu,
+        return {"target": list(self.target),
+                "gram": [list(row) for row in self.gram],
+                "det": self.det, "mu": self.mu,
                 "local_ok": self.local_ok,
                 "classes_total": self.classes_total,
                 "classes_representing": self.classes_representing,
@@ -213,17 +216,17 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
         dT = det(T)
         diag = tuple(T.entries[i][i] for i in range(T.n))
         if ord_p(dT, q) > j:
-            rows.append(ScanRow(target=diag, det=dT, mu=None, local_ok=False,
-                                classes_total=None, classes_representing=None,
-                                exception=False))
+            rows.append(ScanRow(target=diag, gram=T.entries, det=dT,
+                                mu=None, local_ok=False, classes_total=None,
+                                classes_representing=None, exception=False))
             continue
         certs = represents_locally_everywhere(S, T, c)
         local_ok = (all(cert.status == REPRESENTABLE for cert in certs.values())
                     and _isotropy_at_q(invS, S, T, q)[0])
         if not local_ok:
-            rows.append(ScanRow(target=diag, det=dT, mu=None, local_ok=False,
-                                classes_total=None, classes_representing=None,
-                                exception=False))
+            rows.append(ScanRow(target=diag, gram=T.entries, det=dT,
+                                mu=None, local_ok=False, classes_total=None,
+                                classes_representing=None, exception=False))
             continue
         mu = lattice_minimum(T)
         # class 0 is S itself, which represents_locally_everywhere has
@@ -232,8 +235,8 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
             1 for rep in genus.classes[1:]
             if find_representations(rep, T, c, limit=1))
         exc = representing < total_classes
-        rows.append(ScanRow(target=diag, det=dT, mu=mu, local_ok=True,
-                            classes_total=total_classes,
+        rows.append(ScanRow(target=diag, gram=T.entries, det=dT, mu=mu,
+                            local_ok=True, classes_total=total_classes,
                             classes_representing=representing,
                             exception=exc))
         if exc:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -8,7 +9,8 @@ from oracles import (box_minimum, box_vectors, box_vectors_of_norm,
                      reference_lll)
 
 from latrep.enumeration import (Embedding, _constrained_candidates,
-                                extend_representation, find_representations,
+                                _kernel_frame, extend_representation,
+                                find_representations,
                                 lattice_minimum, lll_reduce, short_vectors,
                                 superlattices_of_prime_index, vectors_of_norm)
 from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
@@ -156,6 +158,23 @@ def test_embedding_build_rejects_rank_deficient():
         Embedding.build(S, gram_of_columns(S, X), X)
 
 
+def _box_constrained(S, prior, inners, norm):
+    """The x with x^t S v_j = inners[j] and Q(x) = norm, by box search."""
+    n = S.n
+    return sorted(
+        xs for xs, q in box_vectors(S.entries, norm)
+        if q == norm and all(
+            sum(v[i] * S.entries[i][j] * xs[j]
+                for i in range(n) for j in range(n)) == c
+            for v, c in zip(prior, inners)))
+
+
+def _inners(S, prior, x):
+    """The inner products x^t S v_j."""
+    Sx = [sum(map(mul, row, x)) for row in S.entries]
+    return [sum(map(mul, v, Sx)) for v in prior]
+
+
 def test_constrained_candidates_against_box_search():
     """Every x with x^t S v_j = inners[j] and Q(x) = norm, on shifted
     cosets of rank 2-5, against a filtered box search."""
@@ -169,22 +188,88 @@ def test_constrained_candidates_against_box_search():
         x = [draw.randint(-1, 1) for _ in range(n)]
         x[0] = 1
         norm = S.value(x)
-        Sx = [sum(S.entries[i][j] * x[j] for j in range(n)) for i in range(n)]
-        inners = [sum(v[i] * Sx[i] for i in range(n)) for v in prior]
+        inners = _inners(S, prior, x)
         if case % 4 == 3:
             inners[0] += 1  # a coset that may hold nothing
         got = sorted(_constrained_candidates(S, prior, inners, norm))
-        expect = sorted(
-            xs for xs, q in box_vectors(S.entries, norm)
-            if q == norm and all(
-                sum(v[i] * S.entries[i][j] * xs[j]
-                    for i in range(n) for j in range(n)) == c
-                for v, c in zip(prior, inners)))
-        assert got == expect, (S.entries, prior, inners, norm)
+        assert got == _box_constrained(S, prior, inners, norm), \
+            (S.entries, prior, inners, norm)
         if case % 4 != 3:
             assert tuple(x) in got
         found += len(got)
     assert found > 32
+
+
+def test_constrained_candidates_reuse_cached_frames():
+    """Each prior is queried several times with different (inners, norm),
+    so later queries run on a cached kernel frame: consistent cosets,
+    inconsistent inners on a cached frame, and full-rank priors with no
+    kernel, against the box search.  Clearing the cache and running the
+    queries in reverse gives the same candidates in the same order."""
+    draw = random.Random(707)
+    queries, empty = [], []
+    for case in range(15):
+        n = 2 + case % 3
+        S = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
+        if case % 3 == 0:  # full rank: unit upper triangular, no kernel
+            prior = tuple(tuple(int(i == j) if i >= j else draw.randint(-1, 1)
+                                for i in range(n)) for j in range(n))
+        else:
+            prior = tuple(tuple(draw.randint(-1, 1) for _ in range(n))
+                          for _ in range(draw.randint(1, n - 1)))
+            if not any(map(any, prior)):
+                prior = ((1,) + (0,) * (n - 1),) + prior[1:]
+        for _ in range(4):
+            x = [draw.randint(-1, 1) for _ in range(n)]
+            x[draw.randrange(n)] = draw.choice((1, 2))
+            queries.append((S, prior, _inners(S, prior, x), S.value(x)))
+        # a dependent column 2 v: solvable only when its inner product is
+        # even, so the odd query on the cached frame has no solution
+        v = next(v for v in prior if any(v))
+        bad = prior + (tuple(2 * c for c in v),)
+        good = _inners(S, bad, [1] + [0] * (n - 1))
+        queries.append((S, bad, good, S.entries[0][0]))
+        queries.append((S, bad, good[:-1] + [good[-1] + 1], S.entries[0][0]))
+        empty.append(len(queries) - 1)
+
+    _kernel_frame.cache_clear()
+    forward = [list(_constrained_candidates(*q)) for q in queries]
+    assert _kernel_frame.cache_info().hits >= len(queries) - 2 * 15
+    for q, got in zip(queries, forward):
+        assert sorted(got) == _box_constrained(*q), q
+    assert all(forward[i] == [] for i in empty)
+    assert sum(map(len, forward)) > len(queries)
+
+    _kernel_frame.cache_clear()
+    backward = [list(_constrained_candidates(*q)) for q in reversed(queries)]
+    assert backward[::-1] == forward
+
+
+def test_find_representations_cold_and_warm_cache():
+    """The same embeddings, divisors and order on a cold cache and on a
+    warm one."""
+    draw = random.Random(808)
+    cases = []
+    while len(cases) < 8:
+        n, m = draw.randint(3, 5), draw.randint(2, 3)
+        S0 = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
+        X = IntMatrix([[draw.randint(-1, 1) for _ in range(m)]
+                       for _ in range(n)])
+        T = gram_of_columns(S0, X)
+        if not is_positive_definite(T):
+            continue
+        skew = IntMatrix([[int(i == j) + (j == i + 1) * draw.randint(-2, 2)
+                           for j in range(n)] for i in range(n)])
+        cases.append((gram_of_columns(S0, skew), T, draw.choice((1, 2))))
+    cold = []
+    for S, T, c in cases:
+        _kernel_frame.cache_clear()
+        cold.append(find_representations(S, T, c))
+    for S, T, c in cases:  # cache the frames of every case
+        find_representations(S, T, c)
+    warm = [find_representations(S, T, c) for S, T, c in cases]
+    assert warm == cold
+    assert any(cold)
 
 
 def test_imprimitivity_bound_example():
@@ -281,3 +366,19 @@ def test_superlattices_of_prime_index():
     for G2, incl in ups:
         assert det(G2) * 4 == det(G)
         assert gram_of_columns(G2, incl).entries == G.entries
+    # G = M^t G0 M with det M = d, so G0's lattice lies above G's at index d
+    draw = random.Random(909)
+    for d in (2, 3):
+        for _ in range(4):
+            n = draw.randint(2, 3)
+            G0 = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
+            M = IntMatrix([[(d if i == n - 1 else 1) if i == j else
+                            draw.randint(-2, 2) if i < j else 0
+                            for j in range(n)] for i in range(n)])
+            G = gram_of_columns(G0, M)
+            ups = superlattices_of_prime_index(G, d)
+            assert ups
+            for G2, incl in ups:
+                assert all(type(v) is int for row in G2.entries for v in row)
+                assert det(G2) * d * d == det(G)
+                assert gram_of_columns(G2, incl).entries == G.entries

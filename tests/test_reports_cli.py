@@ -166,6 +166,19 @@ def test_scan_csv_emission():
         ["det,mu,local_ok,classes_total,classes_representing,exception"]
 
 
+def test_scan_rows_record_full_gram():
+    """Two non-diagonal targets with the same diagonal share `target` but
+    not `gram`."""
+    targets = [GramMatrix([[2, 1], [1, 2]]), GramMatrix([[2, -1], [-1, 2]])]
+    result = scan_family(GramMatrix.identity(6), targets,
+                         q=3, j=1, c=1, neighbor_prime=3)
+    records = json.loads(report_emit(result, "json"))["rows"]
+    assert [r["target"] for r in records] == [[2, 2], [2, 2]]
+    assert [r["gram"] for r in records] == [[[2, 1], [1, 2]],
+                                            [[2, -1], [-1, 2]]]
+    assert json.loads(report_emit(result, "json"))["schema_version"] == 1
+
+
 def test_report_emit_unknown_format():
     result = scan_family(GramMatrix.identity(4), "rank1:1",
                          q=3, j=1, c=1, neighbor_prime=3)
