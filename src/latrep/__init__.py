@@ -22,9 +22,9 @@ from .localrep import (LocalRepCertificate, NOT_REPRESENTABLE, REPRESENTABLE,
                        UNDECIDED, auto_isotropy_shortcut,
                        complement_isotropic_at_q,
                        represents_locally_everywhere, represents_over_Zp)
-from .genus import (GenusRecord, SpinorNormClass, enumerate_genus,
-                    is_isometric, p_neighbors, represented_by_all_classes,
-                    spinor_norm_reflection)
+from .genus import (GenusRecord, SpinorNormClass, automorphism_group_order,
+                    enumerate_genus, is_isometric, p_neighbors,
+                    represented_by_all_classes, spinor_norm_reflection)
 from .reports import (HypothesisReport, ScanResult, ScanRow,
                       check_theorem_hypotheses, parse_family, report_emit,
                       scan_family)

@@ -80,14 +80,15 @@ def lll_reduce(S: GramMatrix, delta: Fraction = DELTA) -> tuple[GramMatrix, IntM
 # ---------------------------------------------------------------------------
 # exact enumeration
 
-def _enumerate(gram: GramMatrix, t: int,
+def _enumerate(d: Sequence[int], lam: Sequence[Sequence[int]], t: int,
                shift: tuple[Sequence[int], int] | None = None,
                sphere: bool = False) -> Iterator[tuple[tuple[int, ...], int]]:
     """Integer y with D^2 Q(y + m/D) <= t (= t when sphere), each with that
     value, for shift = (m, D); without a shift m = 0, D = 1 and y = 0 is
     skipped.  Streamed in ascending order of y_{n-1}, ..., y_0.
 
-    Fincke-Pohst on the integral Gram-Schmidt data (d, lam), with ints only.
+    Fincke-Pohst on the integral Gram-Schmidt data (d, lam) of a positive
+    definite Gram (see integral_gram_schmidt), with ints only.
     For w = D y + m and s_i = d[i+1] w_i + sum_{k>i} lam[k][i] w_k,
     D^2 Q(y + m/D) = sum_i s_i^2 / (d[i] d[i+1]).  E_i = d[i+1] times the
     budget left for levels <= i, so E_{n-1} = d[n] t and
@@ -95,8 +96,7 @@ def _enumerate(gram: GramMatrix, t: int,
     Schur complement of the Gram is integral).  Level i admits
     |s_i| <= isqrt(d[i] E_i); the sphere leaf needs s_0^2 = E_0, so its cost
     tracks the sphere, not the ball; the value is t - E_{-1}."""
-    n = gram.n
-    d, lam = integral_gram_schmidt(gram)
+    n = len(d) - 1
     m, D = shift if shift is not None else ((0,) * n, 1)
     cols = [[lam[k][i] for k in range(i + 1, n)] for i in range(n)]
     y = [0] * n
@@ -157,7 +157,7 @@ def _short_vectors_raw(S: GramMatrix, bound: int) -> tuple[tuple[tuple[int, ...]
     """Canonical-sign vectors with 0 < Q <= bound, with their values; cached."""
     reduced, U = lll_reduce(S)
     out = []
-    for v, val in _enumerate(reduced, bound):
+    for v, val in _enumerate(*integral_gram_schmidt(reduced), bound):
         w = tuple(sum(map(mul, row, v)) for row in U.entries)
         if _canonical_sign(w):
             out.append((w, val))
@@ -177,7 +177,8 @@ def lattice_minimum(S: GramMatrix) -> int:
     """mu(S) = min over nonzero integer x of x^t S x."""
     reduced, _ = lll_reduce(S)
     start = min(reduced.entries[i][i] for i in range(S.n))
-    return min(val for _, val in _enumerate(reduced, start))
+    return min(val for _, val in _enumerate(*integral_gram_schmidt(reduced),
+                                            start))
 
 
 class _NormStream:
@@ -187,7 +188,8 @@ class _NormStream:
         reduced, U = lll_reduce(S)
 
         def gen():
-            for v, _ in _enumerate(reduced, t, sphere=True):
+            for v, _ in _enumerate(*integral_gram_schmidt(reduced), t,
+                                   sphere=True):
                 w = tuple(sum(map(mul, row, v)) for row in U.entries)
                 if _canonical_sign(w):
                     yield w
@@ -268,18 +270,18 @@ class _KernelFrame:
     With A = (S v_j)^t and U A V = diag(divisors), x^t S v_j = inners[j]
     has the integer solutions x0 + B y: x0 = V[:, :rank] w for w_i =
     (U inners)_i / divisors[i], and B = V[:, rank:] times the LLL transform
-    of its Gram Gred.  adj = adj(Gred) and D = det(Gred) complete the
-    square.  The kernel fields B, BtS, Gred, D and adj are None when A has
-    full column rank.  Cached and shared between calls, so every field is
-    immutable."""
+    of its Gram Gred.  (d, lam) are the integral Gram-Schmidt data of Gred,
+    and adj = adj(Gred) and D = det(Gred) = d[-1] complete the square.  The
+    kernel fields B, BtS, d, lam and adj are None when A has full column
+    rank.  Cached and shared between calls, so every field is immutable."""
 
     U: tuple[tuple[int, ...], ...]
     divisors: tuple[int, ...]  # the rank nonzero Smith divisors of A
     V: tuple[tuple[int, ...], ...]  # rows of V[:, :rank]
     B: tuple[tuple[int, ...], ...] | None
     BtS: tuple[tuple[int, ...], ...] | None  # B^t S
-    Gred: GramMatrix | None
-    D: int | None
+    d: tuple[int, ...] | None
+    lam: tuple[tuple[int, ...], ...] | None
     adj: tuple[tuple[int, ...], ...] | None
 
 
@@ -300,9 +302,9 @@ def _kernel_frame(S: GramMatrix, prior: tuple[tuple[int, ...], ...]
     B = K @ U  # the Gram of B's columns is Gred
     BtS = tuple(tuple(sum(map(mul, col, row)) for row in S.entries)
                 for col in B.columns())
-    adj, D = adjugate(Gred)
-    return _KernelFrame(snf.U.entries, divisors, V,
-                        B.entries, BtS, Gred, D, adj)
+    d, lam = integral_gram_schmidt(Gred)
+    return _KernelFrame(snf.U.entries, divisors, V, B.entries, BtS,
+                        tuple(d), tuple(map(tuple, lam)), adjugate(Gred)[0])
 
 
 def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
@@ -326,20 +328,20 @@ def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
         w.append(q)
     x0 = tuple(sum(map(mul, row, w)) for row in f.V)
     q0 = S.value(x0)
-    if f.Gred is None:
+    if f.d is None:
         if q0 == norm:
             yield x0
         return
     # complete the square: with Gred m = D cvec, D = det(Gred), D^2 Q(x0 + B y)
     # = D^2 Q_red(y + m/D) + D^2 q0 - D cvec.m, where cvec = B^t S x0 and
     # m = adj(Gred) cvec
-    D = f.D
+    D = f.d[-1]
     cvec = [sum(map(mul, row, x0)) for row in f.BtS]
     m = [sum(map(mul, row, cvec)) for row in f.adj]
     t = D * D * (norm - q0) + D * sum(map(mul, cvec, m))
     if t < 0:
         return
-    for y, _ in _enumerate(f.Gred, t, shift=(m, D), sphere=True):
+    for y, _ in _enumerate(f.d, f.lam, t, shift=(m, D), sphere=True):
         yield tuple(x + sum(map(mul, row, y)) for x, row in zip(x0, f.B))
 
 

@@ -1,5 +1,12 @@
-"""Genus and spinor-genus exploration: isometry testing, spinor norms,
-Kneser p-neighbors and per-class representation testing.
+"""Genus and spinor-genus exploration: isometry testing, automorphism
+groups, spinor norms, Kneser p-neighbors and per-class representation
+testing.
+
+Isometries and automorphisms come from one Plesken-Souvignier backtrack
+(Computing isometries of lattices, J. Symb. Comp. 24, 1997): is_isometric
+takes its first hit, and a stabiliser chain on it gives generators of
+Aut(S) and |Aut(S)| by orbit-stabiliser counting.  p_neighbors builds one
+neighbor per Aut(S)-orbit of isotropic lines.
 
 Neighbor primes are restricted to odd p not dividing the determinant;
 the classical construction is simplest there and suffices at desk
@@ -12,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import Sequence
 
 import sympy
 
 from .enumeration import (find_representations, lattice_minimum, lll_reduce,
                           vectors_of_norm)
 from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, column_hnf, det,
-                       gram_of_columns, inner_product, invert_unimodular)
+                       gram_of_columns, invert_unimodular)
 from .padic import (Place, jordan_decomposition, space_invariants,
                     squarefree_class)
 
@@ -51,12 +59,62 @@ def _fingerprint(S: GramMatrix) -> tuple[int, int, int]:
     return det(S), mu, len(vectors_of_norm(S, mu).vectors)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _norm_list(S: GramMatrix, t: int
+               ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every v with Q(v) = t (v before -v), each paired with its image S v."""
+    out = []
+    for v in vectors_of_norm(S, t).vectors:
+        Sv = tuple(sum(map(mul, row, v)) for row in S.entries)
+        out.append((v, Sv))
+        out.append((tuple(-x for x in v), tuple(-x for x in Sv)))
+    return tuple(out)
+
+
+def _narrow(G: Sequence[Sequence[int]], i: int, Sv: Sequence[int], lists):
+    """The candidate lists of levels i+1, i+2, ... cut down to the vectors
+    w with v^t S w = G[i][k] when v, with image Sv, is the image of b_i;
+    None when some level is left empty."""
+    out = []
+    for k, level in enumerate(lists, i + 1):
+        g = G[i][k]
+        kept = [c for c in level if sum(map(mul, Sv, c[0])) == g]
+        if not kept:
+            return None
+        out.append(kept)
+    return out
+
+
+def _first_isometry(G: Sequence[Sequence[int]], lists, chosen: list
+                    ) -> list | None:
+    """Images w_i of b_i, extending the images `chosen` of b_0..b_{k-1}
+    depth first, with w_i^t S w_j = G[i][j]; lists[0], lists[1], ... hold
+    the candidates of levels k, k+1, ... that are consistent with `chosen`.
+    The first hit in candidate order, or None."""
+    if not lists:
+        return list(chosen)
+    i = len(chosen)
+    for v, Sv in lists[0]:
+        rest = _narrow(G, i, Sv, lists[1:])
+        if rest is None:
+            continue
+        chosen.append(v)
+        found = _first_isometry(G, rest, chosen)
+        chosen.pop()
+        if found is not None:
+            return found
+    return None
+
+
 def is_isometric(S1: GramMatrix, S2: GramMatrix) -> IntMatrix | None:
     """A unimodular U with U^t S1 U = S2, or None.
 
-    Backtracking maps an LLL-reduced basis of S1 onto vectors of equal
-    norm in S2, pruned by inner-product profiles; cheap exact
-    fingerprints reject most non-isometric pairs first.
+    Cheap exact fingerprints reject most non-isometric pairs first.  The
+    Plesken-Souvignier backtrack then maps an LLL-reduced basis b_i of S1
+    onto vectors of S2 of norm Q1(b_i), each candidate carried with its
+    image S2 v, so that every pruning test is one dot product; choosing
+    the image of b_i cuts every deeper level down to the vectors with the
+    right inner product with it.  The first hit is the witness.
     """
     if S1.n != S2.n:
         raise ValueError("rank mismatch")
@@ -64,38 +122,90 @@ def is_isometric(S1: GramMatrix, S2: GramMatrix) -> IntMatrix | None:
         return IntMatrix.identity(S1.n)
     if _fingerprint(S1) != _fingerprint(S2):
         return None
-    n = S1.n
     S1r, U1 = lll_reduce(S1)
-    candidates = []
-    for i in range(n):
-        vecs = vectors_of_norm(S2, S1r.entries[i][i]).vectors
-        both = []
-        for v in vecs:
-            both.append(v)
-            both.append(tuple(-x for x in v))
-        candidates.append(both)
-
-    chosen: list[tuple[int, ...]] = []
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for v in candidates[i]:
-            if all(inner_product(S2, chosen[j], v) == S1r.entries[j][i]
-                   for j in range(i)):
-                chosen.append(v)
-                if backtrack(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not backtrack(0):
+    G = S1r.entries
+    chosen = _first_isometry(
+        G, [_norm_list(S2, G[i][i]) for i in range(S1.n)], [])
+    if chosen is None:
         return None
     W = IntMatrix.from_columns(chosen)  # W^t S2 W = S1r
     U = U1 @ invert_unimodular(W)
     if gram_of_columns(S1, U).entries != S2.entries:
         raise AssertionError("isometry witness fails to verify")
     return U
+
+
+def _orbit(x: tuple[int, ...], gens: Sequence[IntMatrix], p: int = 0
+           ) -> set[tuple[int, ...]]:
+    """Orbit of x under the matrices gens; for p > 0, the orbit of the line
+    of x in F_p^n, each line scaled so that its first nonzero coordinate
+    is 1."""
+    orbit = {x}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        for g in gens:
+            z = [sum(map(mul, row, y)) for row in g.entries]
+            if p:
+                inv = pow(next(c for c in z if c % p), -1, p)
+                z = [c * inv % p for c in z]
+            z = tuple(z)
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return orbit
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _automorphisms(S: GramMatrix) -> tuple[int, tuple[IntMatrix, ...]]:
+    """|Aut(S)| and generators of Aut(S), as matrices g with g^t S g = S.
+
+    A stabiliser chain on the backtrack of is_isometric, for an
+    LLL-reduced basis b_i of S.  G_i, the automorphisms fixing
+    b_0..b_{i-1}, is worked out from i = n-1 down to 0: for every
+    candidate image v of b_i outside the orbit of b_i under the generators
+    found so far (which generate G_{i+1}), search for an automorphism that
+    fixes b_0..b_{i-1} and maps b_i to v.  A hit is a new generator, and
+    the orbit is closed again; a miss rules out the whole orbit of v.
+    Then |G_i| = |orbit of b_i| |G_{i+1}|.  Every level lists both signs,
+    so -1 is found at level 0."""
+    Sr, U = lll_reduce(S)
+    G = Sr.entries
+    n = S.n
+    Uinv = invert_unimodular(U)
+    basis = U.columns()
+    images = [tuple(sum(map(mul, row, b)) for row in S.entries) for b in basis]
+    # narrowed[i]: the candidates of levels i.. that fix b_0..b_{i-1}
+    narrowed = [[_norm_list(S, G[i][i]) for i in range(n)]]
+    for j in range(n - 1):
+        narrowed.append(_narrow(G, j, images[j], narrowed[-1][1:]))
+    gens: list[IntMatrix] = []
+    order = 1
+    for i in reversed(range(n)):
+        lists = narrowed[i]
+        orbit = _orbit(basis[i], gens)
+        done = set(orbit)
+        for c in lists[0]:
+            if c[0] in done:
+                continue
+            found = _first_isometry(G, [[c]] + lists[1:], basis[:i])
+            if found is None:
+                done |= _orbit(c[0], gens)
+                continue
+            g = IntMatrix.from_columns(found) @ Uinv  # g b_j = found[j]
+            if gram_of_columns(S, g).entries != S.entries:
+                raise AssertionError("automorphism fails to verify")
+            gens.append(g)
+            orbit = _orbit(basis[i], gens)
+            done |= orbit
+        order *= len(orbit)
+    return order, tuple(gens)
+
+
+def automorphism_group_order(S: GramMatrix) -> int:
+    """|Aut(S)| for a positive definite S, counted by orbits and
+    stabilisers, so the group itself is never listed."""
+    return _automorphisms(S)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +220,14 @@ def _projective_points(p: int, n: int):
 
 
 def p_neighbors(S: GramMatrix, p: int) -> list[GramMatrix]:
-    """All p-neighbors of S, up to isometry.
+    """All p-neighbors of S, up to isometry: for each isometry class, the
+    LLL-reduced Gram of the neighbor of the first isotropic line of
+    F_p^n (in the order of _projective_points) whose neighbor lies in it.
+
+    A neighbor depends only on its line, and an automorphism g of S maps
+    the neighbor of the line x onto that of gx.  So only the first line of
+    each Aut(S)-orbit of isotropic lines is built; the others would give
+    isometric neighbors.
 
     Requires p odd, prime, and not dividing 2 det(S)."""
     if not sympy.isprime(p) or p == 2 or det(S) % p == 0:
@@ -118,10 +235,16 @@ def p_neighbors(S: GramMatrix, p: int) -> list[GramMatrix]:
     n = S.n
     out: list[GramMatrix] = []
     d = det(S)
+    gens = [IntMatrix([[x % p for x in row] for row in g.entries])
+            for g in _automorphisms(S)[1]]
+    seen: set[tuple[int, ...]] = set()  # lines in the orbit of a built one
     for x0 in _projective_points(p, n):
+        if x0 in seen:
+            continue
         Sx = [sum(map(mul, row, x0)) for row in S.entries]
         if sum(map(mul, x0, Sx)) % p:
             continue
+        seen |= _orbit(x0, gens, p)
         x, Sx = _lift_isotropic(S, list(x0), Sx, p)
         G = _neighbor_gram(S, x, Sx, p)
         if det(G) != d:

@@ -199,25 +199,33 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(S: GramMatrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(adj(S), det(S)) for S with nonzero leading principal minors (a
-    positive definite Gram), by fraction-free Gauss-Jordan on [S | I]:
-    every division by the previous pivot is exact, the left block ends as
-    det(S) I and the right block as adj(S)."""
-    n = S.n
+def adjugate(M: GramMatrix | IntMatrix
+             ) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(adj(M), det(M)) for a square nonsingular integer matrix M, by
+    fraction-free Gauss-Jordan on [M | I] with row swaps: every division by
+    the previous pivot is exact, the left block ends as det(PM) I and the
+    right block as det(PM) M^-1 for the row permutation P."""
+    n = len(M.entries)
     a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(S.entries)]
+         for i, row in enumerate(M.entries)]
+    if any(len(row) != 2 * n for row in a):
+        raise ValueError("adjugate of a non-square matrix")
+    sign = 1
     prev = 1
     for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                raise ValueError("matrix is singular")
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
         pivot = a[k][k]
-        if pivot == 0:
-            raise ValueError("adjugate needs nonzero leading minors")
         for i in range(n):
             if i != k:
                 f = a[i][k]
                 a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[k])]
         prev = pivot
-    return tuple(tuple(row[n:]) for row in a), prev
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -264,6 +272,7 @@ def integral_gram_schmidt(S: GramMatrix) -> tuple[list[int], list[list[int]]]:
     return d, lam
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def is_positive_definite(S: GramMatrix) -> bool:
     """All leading principal minors positive."""
     return integral_gram_schmidt(S)[0][-1] > 0
@@ -408,13 +417,14 @@ def integral(Y: Sequence[Sequence[Fraction]]) -> IntMatrix | None:
 
 
 def invert_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1: the
+    adjugate times det(M) = 1 / det(M)."""
     if M.rows != M.cols:
         raise ValueError("inverse of a non-square matrix")
-    inv = integral(solve_rational(M.entries, IntMatrix.identity(M.rows).entries))
-    if inv is None:
+    adj, d = adjugate(M)  # raises ValueError when M is singular
+    if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    return inv
+    return IntMatrix(adj) if d == 1 else IntMatrix([[-x for x in row] for row in adj])
 
 
 def solve_integer_columns(B: IntMatrix, X: IntMatrix) -> IntMatrix | None:

@@ -234,6 +234,37 @@ def box_vectors_of_norm(entries, t):
     return sorted(out)
 
 
+def automorphism_count_oracle(entries):
+    """|Aut| of a positive definite Gram matrix, by counting every leaf of
+    an exhaustive search for images w_0..w_{n-1} of the basis vectors with
+    w_i^t S w_j = S_ij.  Each leaf W has W^t S W = S, so det W = +-1 and W
+    is an automorphism; each automorphism is one leaf."""
+    n = len(entries)
+
+    def inner(x, y):
+        return sum(x[i] * entries[i][j] * y[j]
+                   for i in range(n) for j in range(n))
+
+    candidates = []
+    for i in range(n):
+        vecs = box_vectors_of_norm(entries, entries[i][i])
+        candidates.append(vecs + [tuple(-c for c in v) for v in vecs])
+    chosen = []
+
+    def count(i):
+        if i == n:
+            return 1
+        total = 0
+        for v in candidates[i]:
+            if all(inner(chosen[j], v) == entries[j][i] for j in range(i)):
+                chosen.append(v)
+                total += count(i + 1)
+                chosen.pop()
+        return total
+
+    return count(0)
+
+
 def local_rep_oracle(S_entries, T_entries, p: int, c: int, N: int,
                      pair_cap: int = 40_000_000):
     """Exhaustive search for X mod p^N with X^t S X = T mod p^N whose

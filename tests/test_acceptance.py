@@ -207,6 +207,23 @@ def test_acceptance_scan(verdict):
     verdict("theorem-scan", ok)
 
 
+def test_acceptance_two_class_scan(verdict):
+    # the genus of I9 has two classes, I9 and E8 + I1.  In E8 + I1 the only
+    # norm-1 vectors are +-e (e spanning I1) and E8 is even, so among the
+    # locally admissible rows exactly diag(1, b) with b odd is missed
+    result = scan_family(GramMatrix.identity(9), "diag2:10",
+                         q=3, j=1, c=1, neighbor_prime=3)
+    admissible = [r for r in result.rows if r.local_ok]
+    predicted = tuple(r.target for r in admissible
+                      if r.target[0] == 1 and r.target[1] % 2)
+    ok = (len(result.rows) == 55
+          and len(admissible) == 42
+          and all(r.classes_total == 2 for r in admissible)
+          and result.exceptions == predicted == ((1, 1), (1, 3), (1, 5), (1, 7))
+          and result.empirical_C == 1)
+    verdict("two-class-scan", ok)
+
+
 def test_acceptance_extension(verdict):
     S4 = GramMatrix.identity(4)
     sigma = Embedding.build(S4, GramMatrix.diagonal([1]),

@@ -1,11 +1,15 @@
 import random
+from math import factorial
 
 import pytest
+from oracles import automorphism_count_oracle, random_pos_def_entries
 
-from latrep.enumeration import lattice_minimum, vectors_of_norm
-from latrep.genus import (SpinorNormClass, enumerate_genus, is_isometric,
-                          p_neighbors, represented_by_all_classes,
-                          spinor_norm_reflection)
+from latrep.enumeration import lattice_minimum, lll_reduce, vectors_of_norm
+from latrep.genus import (SpinorNormClass, _automorphisms, _lift_isotropic,
+                          _neighbor_gram, _projective_points,
+                          automorphism_group_order, enumerate_genus,
+                          is_isometric, p_neighbors,
+                          represented_by_all_classes, spinor_norm_reflection)
 from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
                              gram_of_columns, is_positive_definite)
 
@@ -199,3 +203,73 @@ def test_e8_genus_and_kissing():
     record = enumerate_genus(E8, 3)
     assert record.complete
     assert len(record.classes) == 1
+
+
+def test_automorphism_group_orders():
+    E8_I1 = GramMatrix([list(row) + [0] for row in E8.entries] + [[0] * 8 + [1]])
+    cases = [(GramMatrix.identity(n), 2 ** n * factorial(n)) for n in range(1, 10)]
+    cases += [(E8, 696_729_600), (GramMatrix([[2, 1], [1, 2]]), 12),
+              (E8_I1, 1_393_459_200),
+              (GramMatrix([[3, 1, 0], [1, 4, 1], [0, 1, 6]]), 2)]  # only +-1
+    for S, order in cases:
+        assert automorphism_group_order(S) == order
+        gens = _automorphisms(S)[1]
+        assert gens
+        for g in gens:
+            assert gram_of_columns(S, g).entries == S.entries
+
+
+def test_automorphism_orders_match_brute_force():
+    rand = random.Random(4242)
+    done = 0
+    while done < 60:
+        n = rand.randint(2, 5)
+        if done % 2:
+            rows = random_pos_def_entries(rand, n, spread=1, bump=2)
+        else:
+            # a diagonal with repeated entries, glued by a few +-1 entries,
+            # so that the groups are larger than {+-1}
+            rows = [[rand.choice((1, 2, 2, 3)) if i == j else 0
+                     for j in range(n)] for i in range(n)]
+            for _ in range(rand.randint(0, 2)):
+                i, j = rand.sample(range(n), 2)
+                rows[i][j] = rows[j][i] = rand.choice((-1, 1))
+            if not is_positive_definite(GramMatrix(rows)):
+                continue
+        assert automorphism_group_order(GramMatrix(rows)) == \
+            automorphism_count_oracle(rows), rows
+        done += 1
+
+
+def _p_neighbors_every_line(S, p):
+    """The p-neighbor list built from every isotropic line: the neighbor
+    of each line, LLL-reduced, keeping the first of each isometry class."""
+    out = []
+    for x0 in _projective_points(p, S.n):
+        Sx = [sum(a * b for a, b in zip(row, x0)) for row in S.entries]
+        if sum(a * b for a, b in zip(x0, Sx)) % p:
+            continue
+        x, Sx = _lift_isotropic(S, list(x0), Sx, p)
+        reduced, _ = lll_reduce(_neighbor_gram(S, x, Sx, p))
+        if any(reduced.entries == r.entries
+               or is_isometric(reduced, r) is not None for r in out):
+            continue
+        out.append(reduced)
+    return out
+
+
+def test_p_neighbors_one_per_isometry_class():
+    # building one neighbor per Aut(S)-orbit of lines gives the same list,
+    # in the same order, as building one per line
+    cases = [(GramMatrix.identity(n), p) for n, p in ((4, 3), (5, 3), (6, 3), (4, 5))]
+    cases += [(GramMatrix([[2, 1], [1, 2]]), 5),
+              (GramMatrix([[2, 0, 0], [0, 2, 1], [0, 1, 4]]), 5)]
+    rand = random.Random(8080)
+    while len(cases) < 16:
+        S = GramMatrix(random_pos_def_entries(rand, rand.randint(3, 5),
+                                              spread=1, bump=2))
+        p = next(p for p in (3, 5, 7) if det(S) % p)
+        cases.append((S, p))
+    for S, p in cases:
+        assert [r.entries for r in p_neighbors(S, p)] == \
+            [r.entries for r in _p_neighbors_every_line(S, p)], (S, p)

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from latrep.matrices import (GramMatrix, IntMatrix, column_hnf,
+from latrep.matrices import (GramMatrix, IntMatrix, adjugate, column_hnf,
                              congruence_diagonalization, det, det_int,
                              elementary_divisors, gram_of_columns,
                              inner_product, integer_kernel, invert_unimodular,
@@ -137,9 +137,51 @@ def test_invert_unimodular_roundtrip():
         assert (U @ V).entries == IntMatrix.identity(n).entries
 
 
+def test_invert_unimodular_with_zero_leading_minors():
+    # row swaps in the fraction-free elimination; without them these raised
+    cases = [IntMatrix([[0, 1], [1, 0]]), IntMatrix([[0, -1], [1, 3]]),
+             IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+             IntMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 0]])]
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        perm = list(range(n))
+        while perm[0] == 0:
+            rng.shuffle(perm)
+        P = IntMatrix([[rng.choice((-1, 1)) * (j == perm[i]) for j in range(n)]
+                       for i in range(n)])
+        cases.append(P @ random_unimodular(n))  # zero top-left entry
+    for U in cases:
+        n = U.rows
+        V = invert_unimodular(U)
+        assert (U @ V).entries == IntMatrix.identity(n).entries
+        assert (V @ U).entries == IntMatrix.identity(n).entries
+
+
 def test_invert_unimodular_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        invert_unimodular(IntMatrix([[2, 0], [0, 1]]))
+    for M in ([[2, 0], [0, 1]], [[0, 2], [1, 0]], [[0, 0], [1, 0]],
+              [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            invert_unimodular(IntMatrix(M))
+
+
+def test_adjugate_matches_cofactors():
+    """adj(M) M = det(M) I against cofactor expansion, also when leading
+    minors vanish; singular matrices raise."""
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)]
+                for _ in range(n)]
+        d = naive_det(rows)
+        if d == 0:
+            with pytest.raises(ValueError):
+                adjugate(IntMatrix(rows))
+            continue
+        adj, det_m = adjugate(IntMatrix(rows))
+        assert det_m == d
+        cof = [[(-1) ** (i + j) * naive_det([r[:i] + r[i + 1:] for k, r in
+                                             enumerate(rows) if k != j])
+                if n > 1 else 1 for j in range(n)] for i in range(n)]
+        assert [list(r) for r in adj] == cof
 
 
 def test_saturate_idempotent_and_contains():

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latrep.enumeration import lattice_minimum
-from latrep.genus import _genus_symbol, is_isometric
+from latrep.genus import _genus_symbol, automorphism_group_order, is_isometric
 from latrep.localrep import complement_isotropic_at_q
 from latrep.matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
                              det_int, gram_of_columns, invert_unimodular,
@@ -89,6 +89,14 @@ def test_is_isometric_finds_verified_witness(case):
     assert W is not None
     assert abs(det_int(W)) == 1
     assert gram_of_columns(S, W).entries == S2.entries
+
+
+@PROPERTY_SETTINGS
+@given(lattice_and_basis_change())
+def test_automorphism_group_order_unchanged_by_basis_change(case):
+    S, U = case
+    assert (automorphism_group_order(gram_of_columns(S, U))
+            == automorphism_group_order(S))
 
 
 @PROPERTY_SETTINGS
