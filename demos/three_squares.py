@@ -9,10 +9,9 @@ actual integer witness, and prints the few t where the story is decided
 at the prime 2.
 """
 
-from sympy import factorint
-
 from latrep import (GramMatrix, REPRESENTABLE, find_representations,
                     represents_locally_everywhere)
+from latrep.primes import factorint
 
 I3 = GramMatrix.identity(3)
 

@@ -9,7 +9,9 @@ measurement and representation extension.  No floating point anywhere.
 The column search keeps one kernel frame per column prefix (the Smith form
 of the prefix's linear constraints, the LLL-reduced kernel and the
 adjugate of its Gram), under the one cache policy, so each candidate
-column costs one particular solution and one shifted enumeration.
+column costs one particular solution and one shifted enumeration.  Under
+the same policy each Gram is LLL-reduced once, with its Gram-Schmidt data,
+for its minimum, its short vectors and its vectors of one norm.
 """
 
 from __future__ import annotations
@@ -75,6 +77,17 @@ def lll_reduce(S: GramMatrix, delta: Fraction = DELTA) -> tuple[GramMatrix, IntM
         k = max(k - 1, 1)
     U = IntMatrix.from_columns(basis)
     return gram_of_columns(S, U), U
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _reduced(S: GramMatrix) -> tuple[GramMatrix, IntMatrix, tuple[int, ...],
+                                     tuple[tuple[int, ...], ...]]:
+    """(S', U, d, lam): S' = U^t S U = lll_reduce(S) and the integral
+    Gram-Schmidt data of S'; one reduction per Gram, under the one cache
+    policy."""
+    reduced, U = lll_reduce(S)
+    d, lam = integral_gram_schmidt(reduced)
+    return reduced, U, tuple(d), tuple(map(tuple, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +168,9 @@ class ShortVectorReport:
 @lru_cache(maxsize=CACHE_SIZE)
 def _short_vectors_raw(S: GramMatrix, bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Canonical-sign vectors with 0 < Q <= bound, with their values; cached."""
-    reduced, U = lll_reduce(S)
+    _, U, d, lam = _reduced(S)
     out = []
-    for v, val in _enumerate(*integral_gram_schmidt(reduced), bound):
+    for v, val in _enumerate(d, lam, bound):
         w = tuple(sum(map(mul, row, v)) for row in U.entries)
         if _canonical_sign(w):
             out.append((w, val))
@@ -175,21 +188,19 @@ def short_vectors(S: GramMatrix, bound: int) -> ShortVectorReport:
 
 def lattice_minimum(S: GramMatrix) -> int:
     """mu(S) = min over nonzero integer x of x^t S x."""
-    reduced, _ = lll_reduce(S)
+    reduced, _, d, lam = _reduced(S)
     start = min(reduced.entries[i][i] for i in range(S.n))
-    return min(val for _, val in _enumerate(*integral_gram_schmidt(reduced),
-                                            start))
+    return min(val for _, val in _enumerate(d, lam, start))
 
 
 class _NormStream:
     """Lazy, memoized stream of canonical-sign vectors of one exact norm."""
 
     def __init__(self, S: GramMatrix, t: int):
-        reduced, U = lll_reduce(S)
+        _, U, d, lam = _reduced(S)
 
         def gen():
-            for v, _ in _enumerate(*integral_gram_schmidt(reduced), t,
-                                   sphere=True):
+            for v, _ in _enumerate(d, lam, t, sphere=True):
                 w = tuple(sum(map(mul, row, v)) for row in U.entries)
                 if _canonical_sign(w):
                     yield w
@@ -298,13 +309,12 @@ def _kernel_frame(S: GramMatrix, prior: tuple[tuple[int, ...], ...]
         return _KernelFrame(snf.U.entries, divisors, V,
                             None, None, None, None, None)
     K = IntMatrix([row[rank:] for row in snf.V.entries])
-    Gred, U = lll_reduce(gram_of_columns(S, K))
+    Gred, U, d, lam = _reduced(gram_of_columns(S, K))
     B = K @ U  # the Gram of B's columns is Gred
     BtS = tuple(tuple(sum(map(mul, col, row)) for row in S.entries)
                 for col in B.columns())
-    d, lam = integral_gram_schmidt(Gred)
     return _KernelFrame(snf.U.entries, divisors, V, B.entries, BtS,
-                        tuple(d), tuple(map(tuple, lam)), adjugate(Gred)[0])
+                        d, lam, adjugate(Gred)[0])
 
 
 def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
@@ -370,10 +380,18 @@ def _column_search(S: GramMatrix, T: GramMatrix,
     yield from extend(len(chosen))
 
 
+def check_imprimitivity_bound(c: int) -> None:
+    """ValueError unless c >= 1: every imprimitivity bound divides 0, and
+    c = 0 has no prime factorisation."""
+    if c < 1:
+        raise ValueError("c must be a positive integer")
+
+
 def find_representations(S: GramMatrix, T: GramMatrix, c: int = 1,
                          limit: int | None = None) -> list[Embedding]:
     """All (or up to limit) X with X^t S X = T and imprimitivity bound
     dividing c, up to the global sign symmetry."""
+    check_imprimitivity_bound(c)
     if not is_positive_definite(S) or not is_positive_definite(T):
         raise ValueError("both forms must be positive definite")
     if T.n > S.n:

@@ -21,14 +21,13 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-import sympy
-
-from .enumeration import (find_representations, lattice_minimum, lll_reduce,
-                          vectors_of_norm)
+from .enumeration import (_reduced, find_representations, lattice_minimum,
+                          lll_reduce, vectors_of_norm)
 from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, column_hnf, det,
                        gram_of_columns, invert_unimodular)
 from .padic import (Place, jordan_decomposition, space_invariants,
                     squarefree_class)
+from .primes import factorint, isprime
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def is_isometric(S1: GramMatrix, S2: GramMatrix) -> IntMatrix | None:
         return IntMatrix.identity(S1.n)
     if _fingerprint(S1) != _fingerprint(S2):
         return None
-    S1r, U1 = lll_reduce(S1)
+    S1r, U1, _, _ = _reduced(S1)
     G = S1r.entries
     chosen = _first_isometry(
         G, [_norm_list(S2, G[i][i]) for i in range(S1.n)], [])
@@ -169,7 +168,7 @@ def _automorphisms(S: GramMatrix) -> tuple[int, tuple[IntMatrix, ...]]:
     the orbit is closed again; a miss rules out the whole orbit of v.
     Then |G_i| = |orbit of b_i| |G_{i+1}|.  Every level lists both signs,
     so -1 is found at level 0."""
-    Sr, U = lll_reduce(S)
+    Sr, U, _, _ = _reduced(S)
     G = Sr.entries
     n = S.n
     Uinv = invert_unimodular(U)
@@ -230,7 +229,7 @@ def p_neighbors(S: GramMatrix, p: int) -> list[GramMatrix]:
     isometric neighbors.
 
     Requires p odd, prime, and not dividing 2 det(S)."""
-    if not sympy.isprime(p) or p == 2 or det(S) % p == 0:
+    if not isprime(p) or p == 2 or det(S) % p == 0:
         raise ValueError("neighbor prime must be odd and prime to det(S)")
     n = S.n
     out: list[GramMatrix] = []
@@ -339,7 +338,7 @@ def enumerate_genus(S: GramMatrix, p: int, class_cap: int = 64,
     isometry.  The closure at one good prime covers the spinor genus
     component; aux_prime, when given, runs a second closure to probe for
     further genus classes."""
-    check_primes = sorted({2, p} | set(sympy.factorint(abs(det(S))).keys()))
+    check_primes = sorted({2, p} | factorint(abs(det(S))).keys())
     seed_symbol = _genus_symbol(S, check_primes)
     classes: list[GramMatrix] = [S]
     edges: list[tuple[int, int]] = []

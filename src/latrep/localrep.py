@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul
 
-import sympy
-
-from .enumeration import Embedding, find_representations
+from .enumeration import (Embedding, check_imprimitivity_bound,
+                          find_representations)
 from .matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
                        gram_of_columns, is_positive_definite)
 from .padic import (Place, REAL, complement_isotropic, ord_p,
                     space_invariants, space_represents)
+from .primes import factorint, isprime
 
 REPRESENTABLE = "representable"
 NOT_REPRESENTABLE = "not_representable"
@@ -271,8 +271,9 @@ def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
                        try_global: bool = True) -> LocalRepCertificate:
     """Decide existence of X over Z_p with X^t S X = T and all elementary
     divisors dividing c."""
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
+    check_imprimitivity_bound(c)
     if T.n > S.n:
         raise ValueError("target rank exceeds ambient rank")
     dS, dT = det(S), det(T)
@@ -315,13 +316,14 @@ def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
 
 def _relevant_primes(S: GramMatrix, T: GramMatrix, c: int) -> list[int]:
     n = abs(c * det(S) * det(T))
-    return sorted(sympy.factorint(n).keys() | {2})
+    return sorted(factorint(n).keys() | {2})
 
 
 def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
                                   ) -> dict[Place, LocalRepCertificate]:
     """Certificates at the real place and at every finite place where the
     answer is not forced by the unimodular-lattice criterion."""
+    check_imprimitivity_bound(c)
     if not is_positive_definite(S) or not is_positive_definite(T):
         raise ValueError("both forms must be positive definite")
     if T.n > S.n:
@@ -352,7 +354,7 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
             checked = set(_relevant_primes(S, T, c))
             cand = 3
             while True:
-                if cand not in checked and sympy.isprime(cand):
+                if cand not in checked and isprime(cand):
                     v = Place.finite(cand)
                     if not space_represents(invT, invS, v):
                         out[v] = LocalRepCertificate(
@@ -370,7 +372,7 @@ def complement_isotropic_at_q(S: GramMatrix, X: IntMatrix, q: int) -> bool:
     """Is the orthogonal complement of the witness's column span isotropic
     over Q_q?  By Witt cancellation the complement is fixed by S and
     T = X^t S X, so it is decided from their invariants."""
-    if not sympy.isprime(q):
+    if not isprime(q):
         raise ValueError(f"{q} is not prime")
     T = gram_of_columns(S, X)
     if det(T) == 0:

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .matrices import GramMatrix, congruence_diagonalization, det
+from .primes import factorint, isprime
 
 
 @dataclass(frozen=True, order=True)
@@ -23,7 +22,7 @@ class Place:
     p: int
 
     def __post_init__(self):
-        if self.p != 0 and not sympy.isprime(self.p):
+        if self.p != 0 and not isprime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @classmethod
@@ -93,7 +92,7 @@ def squarefree_class(a) -> int:
     """Canonical representative (signed squarefree integer) of a's square class."""
     n = _int_class(a)
     out = -1 if n < 0 else 1
-    for q, e in sympy.factorint(abs(n)).items():
+    for q, e in factorint(abs(n)).items():
         if e % 2:
             out *= q
     return out
@@ -161,7 +160,7 @@ def relevant_places(S: GramMatrix) -> list[Place]:
     d = det(S)
     if d == 0:
         raise ValueError("singular Gram matrix")
-    primes = sorted(sympy.factorint(abs(d)).keys() | {2})
+    primes = sorted(factorint(abs(d)).keys() | {2})
     return [REAL] + [Place.finite(p) for p in primes]
 
 
@@ -204,9 +203,9 @@ def invariants_of_diagonal(diag: Sequence) -> SpaceInvariants:
     # dividing some entry; it is stored at the real place, 2, the primes of
     # the det class and any place where it is -1, so the result does not
     # depend on which diagonalization was used
-    always = {0, 2, *sympy.primefactors(detc)}
+    always = {0, 2, *factorint(abs(detc))}
     hasse = []
-    for q in sorted(always | set(sympy.primefactors(prod))):
+    for q in sorted(always | factorint(abs(prod)).keys()):
         v = Place(q)
         eps = hasse_invariant(d, v)
         if q in always or eps == -1:
@@ -270,7 +269,7 @@ def jordan_decomposition(S: GramMatrix, p: int) -> JordanSplitting:
     diagonal entry when one achieves the minimum; otherwise split off a
     2x2 block around a minimal off-diagonal entry.
     """
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
     d = det(S)
     if d == 0:

@@ -26,15 +26,15 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-import sympy
-
-from .enumeration import Embedding, find_representations, lattice_minimum
+from .enumeration import (Embedding, check_imprimitivity_bound,
+                          find_representations, lattice_minimum)
 from .genus import enumerate_genus
 from .localrep import (REPRESENTABLE, UNDECIDED, auto_isotropy_shortcut,
                        represents_locally_everywhere)
 from .matrices import GramMatrix, det, is_positive_definite
 from .padic import (Place, SpaceInvariants, complement_isotropic, ord_p,
                     space_invariants)
+from .primes import isprime
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,9 @@ def _isotropy_at_q(invS: SpaceInvariants, S: GramMatrix, T: GramMatrix,
 def check_theorem_hypotheses(S: GramMatrix, T: GramMatrix, q: int, j: int,
                              c: int, C: int) -> HypothesisReport:
     """Evaluate conditions (i)-(iii) and the global search for (S, T, q, j, c, C)."""
-    if not sympy.isprime(q):
+    if not isprime(q):
         raise ValueError(f"{q} is not prime")
+    check_imprimitivity_bound(c)
     if not is_positive_definite(S) or not is_positive_definite(T):
         raise ValueError("S and T must be positive definite")
 
@@ -193,6 +194,7 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
     Targets failing condition (ii) or the local checks get a row with
     local_ok accordingly; targets passing both are tested against every
     class in the genus.  Deterministic for fixed inputs."""
+    check_imprimitivity_bound(c)
     if isinstance(family, str):
         family_desc, targets = parse_family(family)
     else:

@@ -410,11 +410,15 @@ def _naive_det(rows):
     return total
 
 
-def draw_local_instance(rand):
+def draw_local_instance(rand, rank=None, extra=2, cap=4_000_000):
     """(p, S_entries, T_entries, c, N) with determinant valuations small
     enough that local_rep_oracle stays desk-scale.  The package under test
     has no such restriction; the exhaustive oracle does (its lifting lists
-    grow like p^((n-1)N) per column)."""
+    grow like p^((n-1)N) per column).
+
+    The target rank m is drawn from 1..min(2, n-1) unless `rank` fixes it;
+    a draw is kept when the oracle's a-priori size estimate at precision
+    N + extra is at most `cap`."""
     def vp(x, p):
         v = 0
         while x % p == 0:
@@ -425,7 +429,7 @@ def draw_local_instance(rand):
     while True:
         p = rand.choice([2, 3, 5])
         n = rand.randint(2, 4)
-        m = rand.randint(1, min(2, n - 1))
+        m = rank or rand.randint(1, min(2, n - 1))
         S = random_pos_def_entries(rand, n)
         T = random_pos_def_entries(rand, m)
         c = rand.choice([1, 1, 1, p])
@@ -434,8 +438,8 @@ def draw_local_instance(rand):
              + vp(_naive_det(T), p) + 2 * ordc)
         N = 2 * e + 1
         if (p == 2 and N <= 7) or (p != 2 and N <= 5):
-            est = (p ** ((n - 1) * (N + 1) + n)) ** m
-            if est <= 4_000_000:
+            est = (p ** ((n - 1) * (N + extra - 1) + n)) ** m
+            if est <= cap:
                 return p, S, T, c, N
 
 

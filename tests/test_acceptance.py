@@ -151,6 +151,29 @@ def test_acceptance_local_certificates(verdict):
     verdict("local-certificates", ok)
 
 
+def test_acceptance_local_certificates_rank2(verdict):
+    # every draw above has a rank-1 target under its size filter; these
+    # have rank-2 targets, with the oracle at the search's first precision
+    # N, where its walk over column pairs stays under a few seconds a draw
+    rand = random.Random(20261019)
+    ok = True
+    seen = set()
+    for _ in range(150):
+        p, S_rows, T_rows, c, N = draw_local_instance(rand, rank=2, extra=0,
+                                                      cap=1_000_000)
+        S, T = GramMatrix(S_rows), GramMatrix(T_rows)
+        cert = represents_over_Zp(S, T, p, c)
+        expect = local_rep_oracle(S_rows, T_rows, p, c, N, pair_cap=1_000_000)
+        seen.add(expect)
+        if cert.status == UNDECIDED or (
+                expect != "unknown"
+                and cert.representable != (expect == "representable")):
+            ok = False
+            break
+    ok = ok and {"representable", "not_representable"} <= seen
+    verdict("local-certificates-rank2", ok)
+
+
 def test_acceptance_genus(verdict):
     ok = True
     for n in range(2, 9):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from latrep.cli import main
+from latrep.enumeration import find_representations
+from latrep.localrep import represents_locally_everywhere, represents_over_Zp
 from latrep.matrices import GramMatrix
 from latrep.reports import (check_theorem_hypotheses, parse_family,
                             report_emit, scan_family)
@@ -89,6 +91,20 @@ def test_check_rejects_bad_inputs():
     with pytest.raises(ValueError):
         check_theorem_hypotheses(GramMatrix.diagonal([1, -1]),
                                  GramMatrix.diagonal([1]), 3, 1, 1, 0)
+
+
+@pytest.mark.parametrize("c", [0, -2])
+def test_imprimitivity_bound_must_be_positive(c):
+    # c = 0 once listed "prime" 0, the real place, among the finite places
+    S, T = GramMatrix.identity(4), GramMatrix.diagonal([1])
+    calls = [lambda: find_representations(S, T, c),
+             lambda: represents_over_Zp(S, T, 3, c),
+             lambda: represents_locally_everywhere(S, T, c),
+             lambda: check_theorem_hypotheses(S, T, 3, 1, c, 0),
+             lambda: scan_family(S, "rank1:3", 3, 1, c, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="c must be a positive integer"):
+            call()
 
 
 def test_report_json_roundtrip():
@@ -312,6 +328,22 @@ def test_cli_input_errors(capsys, tmp_path, i4):
     bad.write_text("[[2.5, 1], [1, 2]]")  # not integral, never truncated
     code = main(["invariants", "--gram", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("c", ["0", "-2"])
+def test_cli_rejects_nonpositive_c(capsys, tmp_path, i4, c):
+    t = write_gram(tmp_path, "t.json", [[1]])
+    for argv in (["localrep", "--target", t],
+                 ["localrep", "--target", t, "-p", "3"],
+                 ["represent", "--target", t],
+                 ["check", "--target", t, "-q", "3", "-j", "1"],
+                 ["scan", "--family", "rank1:3", "-q", "3", "-j", "1",
+                  "--neighbor-prime", "3"]):
+        code = main(argv + ["--gram", i4, "-c", c])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert "c must be a positive integer" in captured.err
 
 
 def test_cli_internal_failure_exit_code(capsys, monkeypatch, i4):
