@@ -2,12 +2,10 @@
 local representability with bounded imprimitivity, genus enumeration via
 Kneser neighbors, global representation search, and local-global scans."""
 
-from .matrices import (GramMatrix, IntMatrix, SmithForm, column_hnf,
-                       congruence_diagonalization, det, det_int,
-                       elementary_divisors, gram_of_columns, inner_product,
-                       integer_kernel, invert_unimodular,
-                       is_positive_definite, load_gram, orthogonal_complement,
-                       parse_gram, saturate, smith_normal_form,
+from .matrices import (GramMatrix, IntMatrix, SmithForm, column_hnf, det,
+                       det_int, elementary_divisors, gram_of_columns,
+                       inner_product, invert_unimodular, is_positive_definite,
+                       load_gram, parse_gram, saturate, smith_normal_form,
                        solve_integer_columns)
 from .padic import (Place, REAL, SpaceInvariants, JordanComponent,
                     JordanSplitting, hasse_invariant, hilbert_symbol,

@@ -1,15 +1,15 @@
-"""Exact integer and rational linear algebra on symmetric matrices.
+"""Exact integer linear algebra on symmetric matrices.
 
-Everything here is arbitrary-precision: Python ints and Fractions only.
-Floating point is forbidden throughout the package because p-adic
-valuations and determinant signs must be exact.
+Everything here is arbitrary-precision Python ints: every elimination is
+fraction-free (Bareiss), so no Fraction is built.  Floating point is
+forbidden throughout the package because p-adic valuations and
+determinant signs must be exact.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
@@ -386,35 +386,7 @@ def elementary_divisors(X: IntMatrix) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# rational linear systems
-
-def solve_rational(A: Sequence[Sequence[int]],
-                   B: Sequence[Sequence[int]]) -> list[list[Fraction]]:
-    """Y with A Y = B over Q, by Gauss-Jordan elimination; A square and
-    nonsingular, B with as many rows as A."""
-    n = len(A)
-    a = [[Fraction(x) for x in A[i]] + [Fraction(x) for x in B[i]]
-         for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
-def integral(Y: Sequence[Sequence[Fraction]]) -> IntMatrix | None:
-    """Y as an integer matrix, or None when some entry is not an integer."""
-    if any(x.denominator != 1 for row in Y for x in row):
-        return None
-    return IntMatrix([[x.numerator for x in row] for row in Y])
-
+# integer linear systems
 
 def invert_unimodular(M: IntMatrix) -> IntMatrix:
     """Exact inverse of an integer matrix with determinant +-1: the
@@ -428,13 +400,18 @@ def invert_unimodular(M: IntMatrix) -> IntMatrix:
 
 
 def solve_integer_columns(B: IntMatrix, X: IntMatrix) -> IntMatrix | None:
-    """Solve B A = X for A with rational entries; return A if integral, else None.
+    """The integer A with B A = X, or None when there is none.
 
-    B must have full column rank.
+    B must have full column rank, so that G = B^t B is nonsingular; the
+    only candidate is A = adj(G) B^t X / det(G).
     """
     bt = B.transpose()
-    # B^t B is invertible iff B has full column rank
-    return integral(solve_rational((bt @ B).entries, (bt @ X).entries))
+    adj, d = adjugate(bt @ B)
+    num = IntMatrix(adj) @ (bt @ X)
+    if any(x % d for row in num.entries for x in row):
+        return None
+    A = IntMatrix([[x // d for x in row] for row in num.entries])
+    return A if (B @ A).entries == X.entries else None
 
 
 # ---------------------------------------------------------------------------
@@ -496,78 +473,6 @@ def saturate(B: IntMatrix) -> IntMatrix:
     uinv = invert_unimodular(snf.U)
     cols = [uinv.column(j) for j in range(rank)]
     return column_hnf(IntMatrix.from_columns(cols))
-
-
-def integer_kernel(A: IntMatrix) -> IntMatrix | None:
-    """Saturated basis of {v in Z^n : A v = 0}; None when the kernel is 0."""
-    snf = smith_normal_form(A)
-    rank = sum(1 for d in snf.divisors if d != 0)
-    if rank == A.cols:
-        return None
-    cols = [snf.V.column(j) for j in range(rank, A.cols)]
-    return column_hnf(IntMatrix.from_columns(cols))
-
-
-def orthogonal_complement(S: GramMatrix, B: IntMatrix) -> IntMatrix:
-    """Saturated basis of {v in Z^n : B^t S v = 0}.
-
-    The columns of B must span a regular subspace (B^t S B nonsingular).
-    """
-    if det(gram_of_columns(S, B)) == 0:
-        raise ValueError("columns of B span a degenerate subspace")
-    ker = integer_kernel(B.transpose() @ S.matrix())
-    if ker is None:
-        raise ValueError("orthogonal complement is zero")
-    return ker
-
-
-# ---------------------------------------------------------------------------
-# rational diagonalization
-
-def congruence_diagonalization(S: GramMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Rational P with P^t S P = diag(d); returns (P, d). S must be nonsingular."""
-    n = S.n
-    if det(S) == 0:
-        raise ValueError("singular Gram matrix")
-    a = [[Fraction(x) for x in row] for row in S.entries]
-    p = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def col_op(dst, src, f):
-        # x_dst <- x_dst + f x_src as a basis change: col_dst += f col_src on a and p,
-        # plus the matching row operation on a
-        for i in range(n):
-            a[i][dst] += f * a[i][src]
-        for j in range(n):
-            a[dst][j] += f * a[src][j]
-        for i in range(n):
-            p[i][dst] += f * p[i][src]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        a[i], a[j] = a[j], a[i]
-        for row in p:
-            row[i], row[j] = row[j], row[i]
-
-    for i in range(n):
-        if a[i][i] == 0:
-            k = next((k for k in range(i + 1, n) if a[k][k] != 0), None)
-            if k is not None:
-                col_swap(i, k)
-            else:
-                # all remaining diagonal entries vanish; use an off-diagonal pair
-                pair = next(((k, l) for k in range(i, n) for l in range(k + 1, n)
-                             if a[k][l] != 0), None)
-                if pair is None:
-                    raise ValueError("singular Gram matrix")
-                k, l = pair
-                col_op(k, l, Fraction(1))  # makes a[k][k] = 2 a[k][l] != 0
-                if k != i:
-                    col_swap(i, k)
-        for k in range(i + 1, n):
-            if a[k][i] != 0:
-                col_op(k, i, -a[k][i] / a[i][i])
-    return p, [a[i][i] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 Places of Q, valuations, square classes, Hilbert symbols, Hasse
 invariants, Jordan decompositions, isotropy and space-level
 representability at every place.  F = Q throughout.
+
+Diagonalizations over Q and Jordan splittings over Z_p both come from one
+fraction-free symmetric elimination (`_eliminate`) on the integer Gram
+matrix; only the rational inputs accepted by the valuation and
+square-class helpers are read through Fraction.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .matrices import GramMatrix, congruence_diagonalization, det
+from .matrices import GramMatrix, det
 from .primes import factorint, isprime
 
 
@@ -31,7 +36,10 @@ class Place:
 
     @classmethod
     def finite(cls, p: int) -> "Place":
-        return cls(int(p))
+        p = int(p)
+        if p == 0:
+            raise ValueError("0 names the real place, not a prime")
+        return cls(p)
 
     @property
     def is_real(self) -> bool:
@@ -216,10 +224,92 @@ def invariants_of_diagonal(diag: Sequence) -> SpaceInvariants:
 
 def space_invariants(S: GramMatrix) -> SpaceInvariants:
     """Invariants of the rational quadratic space of S; S nonsingular."""
-    if det(S) == 0:
-        raise ValueError("singular Gram matrix")
-    _, diag = congruence_diagonalization(S)
-    return invariants_of_diagonal(diag)
+    return invariants_of_diagonal(_diagonal(S))
+
+
+# ---------------------------------------------------------------------------
+# fraction-free symmetric elimination
+
+def _eliminate(S: GramMatrix, p: int = 0
+               ) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Symmetric elimination of a nonsingular S without fractions.
+
+    The working matrix B is D times the Schur complement of the pivot blocks
+    taken so far, D the product of their determinants.  Every entry of B is
+    a minor of S in the current basis, so each division below is exact
+    (Sylvester's identity, as in Bareiss).  Returns each pivot block of B
+    with the D it was taken under; the rational pivot block is block / D.
+
+    Without p the pivot is the first nonzero diagonal entry.  With p it is
+    an entry of least p-valuation, the first such diagonal entry when there
+    is one.  When no diagonal entry qualifies, x_i += x_j for the first
+    qualifying (i, j) brings it to the diagonal, except at p = 2, where
+    the 2x2 block on i, j is split off instead.
+    """
+    a = [list(row) for row in S.entries]
+    active = list(range(S.n))
+    d = 1
+    pieces = []
+    while active:
+        if p:
+            vals = {(r, c): _split(a[r][c], p)[0]
+                    for t, r in enumerate(active) for c in active[t:] if a[r][c]}
+            if not vals:
+                raise ValueError("singular Gram matrix")
+            least = min(vals.values())
+            k = next((k for k in active if vals.get((k, k)) == least), None)
+            if k is None:
+                i, j = next(ij for ij, v in vals.items() if v == least)
+        else:
+            k = next((k for k in active if a[k][k]), None)
+            if k is None:
+                i, j = next(((r, c) for t, r in enumerate(active)
+                             for c in active[t + 1:] if a[r][c]), (None, None))
+                if i is None:
+                    raise ValueError("singular Gram matrix")
+        if k is None and p != 2:
+            # x_i <- x_i + x_j makes B_ii = B_ii + 2 B_ij + B_jj: nonzero
+            # when B_ii = B_jj = 0, of the least valuation at odd p
+            for l in active:
+                a[i][l] += a[j][l]
+            for l in active:
+                a[l][i] += a[l][j]
+            if p and _split(a[i][i], p)[0] != least:
+                raise AssertionError("no pivot of least valuation")
+            k = i
+        if k is not None:
+            piv = a[k][k]
+            pieces.append((d, ((piv,),)))
+            active.remove(k)
+            pk = a[k]
+            for t, r in enumerate(active):
+                row, f = a[r], a[r][k]
+                for c in active[t:]:
+                    row[c] = a[c][r] = (piv * row[c] - f * pk[c]) // d
+            d = piv
+        else:
+            # p = 2 with least valuation only off the diagonal: the block M
+            # on i, j; B <- (det(M) B - B_{.,ij} adj(M) B_{ij,.}) / D^2
+            aii, aij, ajj = a[i][i], a[i][j], a[j][j]
+            det2 = aii * ajj - aij * aij
+            pieces.append((d, ((aii, aij), (aij, ajj))))
+            active.remove(i)
+            active.remove(j)
+            u = {l: ajj * a[i][l] - aij * a[j][l] for l in active}
+            w = {l: aii * a[j][l] - aij * a[i][l] for l in active}
+            dd = d * d
+            for t, r in enumerate(active):
+                row, fi, fj = a[r], a[r][i], a[r][j]
+                for c in active[t:]:
+                    row[c] = a[c][r] = (det2 * row[c] - fi * u[c] - fj * w[c]) // dd
+            d = det2 // d
+    return pieces
+
+
+def _diagonal(S: GramMatrix) -> list[int]:
+    """Integers in the square classes of a diagonalization of S over Q: a
+    pivot b taken under D is the diagonal entry b / D, and D b = D^2 (b / D)."""
+    return [d * block[0][0] for d, block in _eliminate(S)]
 
 
 # ---------------------------------------------------------------------------
@@ -253,120 +343,46 @@ class JordanSplitting:
         return tuple(out)
 
 
-def _reduce_mod(x: Fraction, modulus: int) -> int:
-    """Lift of a p-integral rational modulo p^k."""
-    num = x.numerator % modulus
-    den = x.denominator % modulus
-    return (num * pow(den, -1, modulus)) % modulus
-
-
 def jordan_decomposition(S: GramMatrix, p: int) -> JordanSplitting:
     """p-adic Jordan splitting of a nonsingular integral Gram matrix.
 
-    Odd p: full diagonalization over Z_p by pivoting on minimal-valuation
-    entries (off-diagonal minima handled by a row/column combination,
-    valid since 2 is a unit).  p = 2: pivot on a minimal-valuation
-    diagonal entry when one achieves the minimum; otherwise split off a
-    2x2 block around a minimal off-diagonal entry.
+    Read off the pivot blocks of the elimination at p: each block, divided
+    by D p^scale, is reduced mod p^(ord_p det + 3), and the blocks of one
+    scale form that scale's unit block.  Odd p gives a full diagonalization
+    over Z_p; p = 2 also splits off even 2x2 blocks.
     """
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     d = det(S)
     if d == 0:
         raise ValueError("singular Gram matrix")
-    n = S.n
     ord_det = ord_p(d, p)
     precision = p ** (ord_det + 3)
 
-    a = [[Fraction(x) for x in row] for row in S.entries]
-    active = list(range(n))
-    pieces: list[tuple[int, list[list[Fraction]], bool]] = []  # (scale, block, is2x2)
-
-    def val(x: Fraction) -> int:
-        return ord_p(x, p) if x != 0 else 10 ** 9
-
-    def eliminate_against_1x1(i: int):
-        for k in active:
-            if k != i and a[k][i] != 0:
-                f = a[k][i] / a[i][i]
-                for l in range(n):
-                    a[k][l] -= f * a[i][l]
-                for l in range(n):
-                    a[l][k] -= f * a[l][i]
-
-    def eliminate_against_2x2(i: int, j: int):
-        dd = a[i][i] * a[j][j] - a[i][j] * a[i][j]
-        for k in active:
-            if k in (i, j):
-                continue
-            ri, rj = a[k][i], a[k][j]
-            if ri == 0 and rj == 0:
-                continue
-            # solve [aii aij; aij ajj] (fi, fj)^t = (ri, rj)^t
-            fi = (ri * a[j][j] - rj * a[i][j]) / dd
-            fj = (rj * a[i][i] - ri * a[i][j]) / dd
-            for l in range(n):
-                a[k][l] -= fi * a[i][l] + fj * a[j][l]
-            for l in range(n):
-                a[l][k] -= fi * a[l][i] + fj * a[l][j]
-
-    while active:
-        best_v = None
-        best = None
-        for i in active:
-            for j in active:
-                if a[i][j] != 0:
-                    v = val(a[i][j])
-                    if best_v is None or v < best_v or (v == best_v and i == j and best[0] != best[1]):
-                        best_v, best = v, (i, j)
-        if best is None:
-            raise ValueError("degenerate block")  # cannot happen for nonsingular S
-        i, j = best
-        diag_hit = next((k for k in active if val(a[k][k]) == best_v), None)
-        if p != 2 and diag_hit is None:
-            # x_i <- x_i + x_j brings the minimal valuation to the diagonal
-            for l in range(n):
-                a[i][l] += a[j][l]
-            for l in range(n):
-                a[l][i] += a[l][j]
-            diag_hit = i
-            assert val(a[i][i]) == best_v
-        if diag_hit is not None:
-            k = diag_hit
-            eliminate_against_1x1(k)
-            pieces.append((best_v, [[a[k][k]]], False))
-            active.remove(k)
-        else:
-            # p = 2, minimal valuation only off-diagonal: even 2x2 block
-            if i == j:
-                i, j = next(((x, y) for x in active for y in active
-                             if x != y and val(a[x][y]) == best_v))
-            eliminate_against_2x2(i, j)
-            pieces.append((best_v, [[a[i][i], a[i][j]], [a[j][i], a[j][j]]], True))
-            active.remove(i)
-            active.remove(j)
-
-    # group pieces by scale into components
-    by_scale: dict[int, list[tuple[list[list[Fraction]], bool]]] = {}
-    for scale, block, two in pieces:
-        by_scale.setdefault(scale, []).append((block, two))
+    by_scale: dict[int, list[list[list[int]]]] = {}
+    for dk, block in _eliminate(S, p):
+        e, u = _split(dk, p)
+        scale = min(_split(x, p)[0] for row in block for x in row if x) - e
+        # block / (D p^scale) = (block / p^(e + scale)) / u, u a unit at p
+        shift, inv = p ** (e + scale), pow(u, -1, precision)
+        by_scale.setdefault(scale, []).append(
+            [[x // shift * inv % precision for x in row] for row in block])
     comps = []
     for scale in sorted(by_scale):
         blocks = by_scale[scale]
-        size = sum(len(b) for b, _ in blocks)
-        g = [[Fraction(0)] * size for _ in range(size)]
+        size = sum(map(len, blocks))
+        g = [[0] * size for _ in range(size)]
         off = 0
-        for b, _ in blocks:
-            for r in range(len(b)):
-                for c in range(len(b)):
-                    g[off + r][off + c] = b[r][c] / Fraction(p) ** scale
+        for b in blocks:
+            for r, row in enumerate(b):
+                g[off + r][off:off + len(row)] = row
             off += len(b)
-        unit = GramMatrix([[_reduce_mod(x, precision) for x in row] for row in g])
+        unit = GramMatrix(g)
         if ord_p(det(unit), p) != 0:
             raise AssertionError("unit block is not unimodular at p")
         even = None
         if p == 2:
-            even = all(unit.entries[i][i] % 2 == 0 for i in range(size))
+            even = all(g[i][i] % 2 == 0 for i in range(size))
         comps.append(JordanComponent(scale=scale, rank=size, unit_block=unit, even=even))
 
     total = sum(c.scale * c.rank for c in comps)
@@ -420,8 +436,7 @@ def complement_isotropic(ambient: SpaceInvariants, T: GramMatrix,
     """Is the orthogonal complement of T in the ambient space isotropic over
     Q_v (v finite)?  T must embed in the ambient space over Q_v; of T only
     its det and its Hasse symbol at v are computed."""
-    _, diag = congruence_diagonalization(T)
-    target = (T.n, det(T), hasse_invariant(diag, v))
+    target = (T.n, det(T), hasse_invariant(_diagonal(T), v))
     return _isotropic(*_complement(ambient.local(v), target, v), v)
 
 

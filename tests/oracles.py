@@ -145,17 +145,27 @@ def complement_isotropic_oracle(S_entries, X_entries, q: int) -> bool:
             v[col] = -rows[r][free]
         scale = lcm(*(x.denominator for x in v))
         kernel.append([int(x * scale) for x in v])
-    g = [[Fraction(sum(u[i] * S_entries[i][j] * w[j]
-                       for i in range(n) for j in range(n)))
+    g = [[sum(u[i] * S_entries[i][j] * w[j] for i in range(n) for j in range(n))
           for w in kernel] for u in kernel]
+    diag = [x.numerator * x.denominator for x in fraction_diagonal_oracle(g)]
+    return isotropic_diagonal_oracle(diag, q)
+
+
+def fraction_diagonal_oracle(entries):
+    """Rational d with P^t S P = diag(d) for some invertible rational P: the
+    congruence diagonalisation in Fractions on plain lists (S symmetric and
+    nonsingular).  A zero pivot is swapped for a later nonzero diagonal
+    entry, or, when all of those vanish, made 2 B(x_i, x_j) by
+    x_i <- x_i + x_j."""
+    from fractions import Fraction
+    g = [[Fraction(x) for x in row] for row in entries]
     k = len(g)
     diag = []
-    for i in range(k):  # congruence diagonalisation
+    for i in range(k):
         if g[i][i] == 0:
             j = next((j for j in range(i + 1, k) if g[j][j] != 0), None)
             if j is None:
                 j = next(j for j in range(i + 1, k) if g[i][j] != 0)
-                # x_i <- x_i + x_j: Q(x_i) becomes 2 B(x_i, x_j) != 0
                 for r in range(k):
                     g[r][i] += g[r][j]
                 g[i] = [x + y for x, y in zip(g[i], g[j])]
@@ -169,8 +179,86 @@ def complement_isotropic_oracle(S_entries, X_entries, q: int) -> bool:
                 g[j] = [x - f * y for x, y in zip(g[j], g[i])]
                 for r in g:
                     r[j] -= f * r[i]
-        diag.append(g[i][i].numerator * g[i][i].denominator)
-    return isotropic_diagonal_oracle(diag, q)
+        diag.append(g[i][i])
+    return diag
+
+
+def fraction_jordan_oracle(entries, p):
+    """p-adic Jordan splitting of a nonsingular symmetric integer matrix, in
+    Fractions on plain lists: [(scale, rank, unit_block, even)], the unit
+    block reduced mod p^(ord_p det + 3) and even None at odd p.
+
+    Pivot on an entry of least valuation, the first diagonal one when there
+    is one; otherwise x_i <- x_i + x_j at odd p, or an even 2x2 block on the
+    first such (i, j) at p = 2.  Each pivot block is divided by p^scale and
+    the blocks of one scale are put side by side."""
+    from fractions import Fraction
+    n = len(entries)
+    a = [[Fraction(x) for x in row] for row in entries]
+
+    def val(x):
+        if x == 0:
+            return None
+        v, num, den = 0, x.numerator, x.denominator
+        while num % p == 0:
+            num //= p
+            v += 1
+        while den % p == 0:
+            den //= p
+            v -= 1
+        return v
+
+    def sub(k, coeffs):  # x_k <- x_k - sum f x_i, on rows and columns
+        for i, f in coeffs:
+            a[k] = [x - f * y for x, y in zip(a[k], a[i])]
+        for i, f in coeffs:
+            for row in a:
+                row[k] -= f * row[i]
+
+    active = list(range(n))
+    pieces = []
+    while active:
+        cells = [(i, j) for i in active for j in active if val(a[i][j]) is not None]
+        least = min(val(a[i][j]) for i, j in cells)
+        k = next((k for k in active if val(a[k][k]) == least), None)
+        i, j = next((i, j) for i, j in cells if val(a[i][j]) == least)
+        if k is None and p != 2:
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
+            k = i
+        if k is not None:
+            active.remove(k)
+            for r in active:
+                sub(r, [(k, a[r][k] / a[k][k])])
+            pieces.append((least, [[a[k][k]]]))
+        else:
+            active.remove(i)
+            active.remove(j)
+            dd = a[i][i] * a[j][j] - a[i][j] ** 2
+            for r in active:
+                ri, rj = a[r][i], a[r][j]
+                sub(r, [(i, (ri * a[j][j] - rj * a[i][j]) / dd),
+                        (j, (rj * a[i][i] - ri * a[i][j]) / dd)])
+            pieces.append((least, [[a[i][i], a[i][j]], [a[j][i], a[j][j]]]))
+    d = _naive_det(entries)
+    modulus = p ** (val(Fraction(d)) + 3)
+    out = []
+    for scale in sorted({s for s, _ in pieces}):
+        blocks = [b for s, b in pieces if s == scale]
+        size = sum(len(b) for b in blocks)
+        g = [[0] * size for _ in range(size)]
+        off = 0
+        for b in blocks:
+            for r in range(len(b)):
+                for c in range(len(b)):
+                    x = b[r][c] / Fraction(p) ** scale
+                    g[off + r][off + c] = (x.numerator * pow(x.denominator, -1, modulus)
+                                           % modulus)
+            off += len(b)
+        even = all(g[r][r] % 2 == 0 for r in range(size)) if p == 2 else None
+        out.append((scale, size, g, even))
+    return out
 
 
 def box_vectors(entries, bound):

@@ -5,13 +5,11 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from latrep.matrices import (GramMatrix, IntMatrix, adjugate, column_hnf,
-                             congruence_diagonalization, det, det_int,
-                             elementary_divisors, gram_of_columns,
-                             inner_product, integer_kernel, invert_unimodular,
-                             is_positive_definite, orthogonal_complement,
-                             parse_gram, saturate, smith_normal_form,
-                             solve_integer_columns)
+from latrep.matrices import (GramMatrix, IntMatrix, adjugate, column_hnf, det,
+                             det_int, elementary_divisors, gram_of_columns,
+                             inner_product, invert_unimodular,
+                             is_positive_definite, parse_gram, saturate,
+                             smith_normal_form, solve_integer_columns)
 
 rng = random.Random(20260823)
 
@@ -220,49 +218,38 @@ def test_column_hnf_canonical_under_column_ops():
         assert column_hnf(B).entries == column_hnf(B @ U).entries
 
 
-def test_integer_kernel():
-    A = IntMatrix([[1, 2, 3]])
-    K = integer_kernel(A)
-    assert K.cols == 2
-    for j in range(2):
-        col = K.column(j)
-        assert sum(A.entries[0][i] * col[i] for i in range(3)) == 0
-    # kernel basis is saturated: primitive columns
-    assert all(d == 1 for d in elementary_divisors(K))
-
-
-def test_orthogonal_complement():
-    S = GramMatrix.identity(3)
-    B = IntMatrix([[1], [1], [0]])
-    comp = orthogonal_complement(S, B)
-    assert comp.cols == 2
-    for j in range(comp.cols):
-        assert inner_product(S, B.column(0), comp.column(j)) == 0
+def test_solve_integer_columns():
+    # X outside the column span of B has no solution, not a least-squares one
+    B = IntMatrix([[1], [0]])
+    assert solve_integer_columns(B, IntMatrix([[1], [1]])) is None
+    assert solve_integer_columns(B, IntMatrix([[3], [0]])).entries == ((3,),)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        r = rng.randint(1, n)
+        B = random_int_matrix(n, r)
+        if len(elementary_divisors(B)) < r:
+            continue
+        A = random_int_matrix(r, rng.randint(1, 3))
+        X = B @ A
+        assert solve_integer_columns(B, X) == A
+        # 2B A' = X has the rational solution A / 2 only
+        B2 = IntMatrix([[2 * x for x in row] for row in B.entries])
+        expect = A if all(x % 2 == 0 for row in A.entries for x in row) else None
+        if expect is not None:
+            expect = IntMatrix([[x // 2 for x in row] for row in A.entries])
+        assert solve_integer_columns(B2, X) == expect
+        # a column moved off the span of B
+        off = [list(row) for row in X.entries]
+        off[rng.randrange(n)][0] += 1
+        widened = IntMatrix([list(rb) + [ro[0]] for rb, ro in zip(B.entries, off)])
+        if len(elementary_divisors(widened)) > r:
+            assert solve_integer_columns(B, IntMatrix(off)) is None
 
 
 def test_positive_definite():
     assert is_positive_definite(GramMatrix([[2, 1], [1, 2]]))
     assert not is_positive_definite(GramMatrix([[1, 2], [2, 1]]))
     assert not is_positive_definite(GramMatrix.diagonal([1, 0]))
-
-
-def test_congruence_diagonalization():
-    from fractions import Fraction
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        while True:
-            rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-            sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
-            S = GramMatrix(sym)
-            if det(S) != 0:
-                break
-        P, d = congruence_diagonalization(S)
-        for i in range(n):
-            for j in range(n):
-                v = sum(P[a][i] * Fraction(S.entries[a][b]) * P[b][j]
-                        for a in range(n) for b in range(n))
-                assert v == (d[i] if i == j else 0)
-        assert all(x != 0 for x in d)
 
 
 def test_parse_gram_text_and_json():

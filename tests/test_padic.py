@@ -5,13 +5,16 @@ import pytest
 import sympy
 
 from latrep.matrices import GramMatrix, det
-from latrep.padic import (Place, REAL, hasse_invariant, hilbert_symbol,
+from latrep.padic import (Place, REAL, complement_isotropic,
+                          hasse_invariant, hilbert_symbol,
                           invariants_of_diagonal, is_isotropic,
                           is_local_square, jordan_decomposition, legendre,
                           ord_p, space_invariants, space_represents,
                           squarefree_class, unit_part)
 
-from oracles import hilbert_class_oracle, hilbert_oracle
+from oracles import (fraction_diagonal_oracle, fraction_jordan_oracle,
+                     hilbert_class_oracle, hilbert_oracle,
+                     random_pos_def_entries)
 
 rng = random.Random(97)
 
@@ -39,6 +42,14 @@ def test_squarefree_class():
     assert squarefree_class(Fraction(2, 3)) == 6
     with pytest.raises(ValueError):
         squarefree_class(0)
+
+
+def test_place_finite_rejects_zero():
+    assert Place.finite(7).p == 7 and Place(0) == REAL
+    with pytest.raises(ValueError):
+        Place.finite(0)
+    with pytest.raises(ValueError):
+        Place.finite(4)
 
 
 def test_legendre():
@@ -102,7 +113,10 @@ def test_hilbert_of_rationals_matches_oracle_on_num_den():
 
 
 def test_int_inputs_build_no_fraction(monkeypatch):
+    import latrep.matrices as matrices
     import latrep.padic as padic
+
+    assert not hasattr(matrices, "Fraction")
 
     def no_fraction(*args):
         raise AssertionError("Fraction built from an int input")
@@ -114,6 +128,14 @@ def test_int_inputs_build_no_fraction(monkeypatch):
     assert hasse_invariant([1, 2, 3, 6], v) in (1, -1)
     assert invariants_of_diagonal([1, 2, 3]).det_class == 6
     assert squarefree_class(-50) == -2
+    S = GramMatrix([[2, 1, 0], [1, 2, 3], [0, 3, -6]])
+    assert space_invariants(S).det_class == squarefree_class(det(S))
+    # p = 2 splits off the even 2x2 block on e1, e2; p = 3 diagonalizes
+    assert [(c.scale, c.rank, c.even) for c in
+            jordan_decomposition(S, 2).components] == [(0, 2, True), (2, 1, False)]
+    assert [(c.scale, c.rank) for c in
+            jordan_decomposition(S, 3).components] == [(0, 1), (1, 2)]
+    assert complement_isotropic(space_invariants(GramMatrix.identity(5)), S, v)
 
 
 def test_hilbert_matches_solvability_oracle():
@@ -151,6 +173,51 @@ def test_space_invariants_congruence_invariant():
     S = GramMatrix([[2, 1, 0], [1, 4, 1], [0, 1, 6]])
     U = IntMatrix([[1, 2, 0], [0, 1, 1], [0, 0, 1]])
     assert space_invariants(S) == space_invariants(gram_of_columns(S, U))
+
+
+def _seeded_symmetric(draw, n):
+    """A nonsingular symmetric integer matrix of rank n: positive definite,
+    or (as often) indefinite with an even or a zero diagonal."""
+    while True:
+        if draw.random() < 0.5:
+            S = GramMatrix(random_pos_def_entries(draw, n))
+        else:
+            rows = [[draw.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            zero = draw.random() < 0.3
+            S = GramMatrix([[0 if zero and i == j else rows[i][j] + rows[j][i]
+                             for j in range(n)] for i in range(n)])
+        if det(S) != 0:
+            return S
+
+
+def test_space_invariants_match_fraction_oracle():
+    """The integer diagonal of the fraction-free elimination against the
+    Fraction congruence diagonalisation: the same space invariants, and
+    the same Hasse symbols of T in complement_isotropic."""
+    draw = random.Random(2026)
+    for _ in range(150):
+        S = _seeded_symmetric(draw, draw.randint(1, 6))
+        diag = fraction_diagonal_oracle([list(r) for r in S.entries])
+        assert space_invariants(S) == invariants_of_diagonal(diag), S.entries
+        amb = space_invariants(GramMatrix.identity(S.n + 2))
+        ints = GramMatrix.diagonal([x.numerator * x.denominator for x in diag])
+        for q in (2, 3, 5):
+            v = Place.finite(q)
+            assert complement_isotropic(amb, S, v) == \
+                complement_isotropic(amb, ints, v), (S.entries, q)
+
+
+def test_jordan_matches_fraction_oracle():
+    """Scales, ranks, types and unit blocks, entry for entry, against the
+    Fraction elimination with the same pivot rule."""
+    draw = random.Random(1019)
+    for _ in range(200):
+        S = _seeded_symmetric(draw, draw.randint(1, 6))
+        for p in (2, 3, 5, 7, 11):
+            got = [(c.scale, c.rank, [list(r) for r in c.unit_block.entries],
+                    c.even) for c in jordan_decomposition(S, p).components]
+            assert got == fraction_jordan_oracle(
+                [list(r) for r in S.entries], p), (S.entries, p)
 
 
 def test_hasse_multiplicativity_with_det():
