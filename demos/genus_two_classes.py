@@ -15,6 +15,8 @@ def main():
     print("genus of diag(1, 17), closed under 3-neighbors:")
     for i, cls in enumerate(record.classes):
         print("  class %d: %s" % (i + 1, [list(r) for r in cls.entries]))
+    print("the sum of 1/|Aut| over them is %s; the mass of the genus is %s"
+          % (record.mass_found, record.mass_expected))
     print()
 
     print(" t | represented by each class (primitively)")

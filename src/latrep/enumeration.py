@@ -47,7 +47,7 @@ def lll_reduce(S: GramMatrix, delta: Fraction = DELTA) -> tuple[GramMatrix, IntM
     if d[-1] <= 0:
         raise ValueError("LLL requires a positive definite form")
     n = S.n
-    a, b = Fraction(delta).as_integer_ratio()
+    a, b = delta.as_integer_ratio()
     basis = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # columns
     k = 1
     while k < n:

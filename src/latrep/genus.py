@@ -1,6 +1,6 @@
-"""Genus and spinor-genus exploration: isometry testing, automorphism
-groups, spinor norms, Kneser p-neighbors and per-class representation
-testing.
+"""Genus exploration: isometry testing, automorphism groups, Kneser
+p-neighbors, genus closures certified by the mass formula and per-class
+representation testing.
 
 Isometries and automorphisms come from one Plesken-Souvignier backtrack
 (Computing isometries of lattices, J. Symb. Comp. 24, 1997): is_isometric
@@ -8,44 +8,29 @@ takes its first hit, and a stabiliser chain on it gives generators of
 Aut(S) and |Aut(S)| by orbit-stabiliser counting.  p_neighbors builds one
 neighbor per Aut(S)-orbit of isotropic lines.
 
-Neighbor primes are restricted to odd p not dividing the determinant;
-the classical construction is simplest there and suffices at desk
-scale.  Neighbor closures are labelled as spinor-genus components; an
-auxiliary prime can be supplied to probe for further genus classes.
+Neighbor primes are odd and do not divide the determinant.
+enumerate_genus walks the neighbors lazily and adds 1/|Aut(L)| for each
+class L it keeps; it stops as soon as the sum equals the mass of the
+genus (latrep.mass), which certifies the class list.  A closure at one
+prime can cover a spinor genus only: it then ends short of the mass, and
+an auxiliary prime can be supplied to probe for further classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .enumeration import (_reduced, find_representations, lattice_minimum,
                           lll_reduce, vectors_of_norm)
 from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, column_hnf, det,
-                       gram_of_columns, invert_unimodular)
-from .padic import (Place, jordan_decomposition, space_invariants,
-                    squarefree_class)
+                       gram_of_columns, invert_unimodular,
+                       is_positive_definite)
+from .padic import JordanSplitting, jordan_decomposition, space_invariants
 from .primes import factorint, isprime
-
-
-@dataclass(frozen=True)
-class SpinorNormClass:
-    """A rational square class, stored as a signed squarefree integer."""
-
-    value: int
-
-    def __mul__(self, other: "SpinorNormClass") -> "SpinorNormClass":
-        return SpinorNormClass(squarefree_class(self.value * other.value))
-
-
-def spinor_norm_reflection(S: GramMatrix, v) -> SpinorNormClass:
-    """Square class of Q(v): the spinor norm of the reflection in v."""
-    q = S.value(list(v))
-    if q == 0:
-        raise ValueError("reflection in an isotropic vector")
-    return SpinorNormClass(squarefree_class(q))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +214,17 @@ def p_neighbors(S: GramMatrix, p: int) -> list[GramMatrix]:
     isometric neighbors.
 
     Requires p odd, prime, and not dividing 2 det(S)."""
+    _check_neighbor_prime(S, p)
+    return list(_neighbors(S, p))
+
+
+def _check_neighbor_prime(S: GramMatrix, p: int) -> None:
     if not isprime(p) or p == 2 or det(S) % p == 0:
         raise ValueError("neighbor prime must be odd and prime to det(S)")
+
+
+def _neighbors(S: GramMatrix, p: int) -> Iterator[GramMatrix]:
+    """The p-neighbors of p_neighbors, one at a time."""
     n = S.n
     out: list[GramMatrix] = []
     d = det(S)
@@ -254,7 +248,7 @@ def p_neighbors(S: GramMatrix, p: int) -> list[GramMatrix]:
         if any(is_isometric(reduced, r) is not None for r in out):
             continue
         out.append(reduced)
-    return out
+        yield reduced
 
 
 def _lift_isotropic(S: GramMatrix, x: list[int], a: list[int], p: int
@@ -314,58 +308,83 @@ class GenusRecord:
     classes: tuple[GramMatrix, ...]
     provenance: tuple[tuple[int, int], ...]  # neighbor-graph edges
     complete: bool
+    mass_expected: Fraction | None  # None: not computed
+    mass_found: Fraction  # sum of 1/|Aut| over the classes
+
+    @property
+    def mass_certified(self) -> bool:
+        """Do the classes make up the mass of the genus?"""
+        return self.mass_found == self.mass_expected
 
     def to_dict(self) -> dict:
         return {"schema_version": 1,
                 "prime_used": self.prime_used,
                 "classes": [ [list(r) for r in c.entries] for c in self.classes],
                 "edges": [list(e) for e in self.provenance],
-                "complete": self.complete}
+                "complete": self.complete,
+                "mass_expected": _fraction_str(self.mass_expected),
+                "mass_found": _fraction_str(self.mass_found),
+                "mass_certified": self.mass_certified}
 
 
-def _genus_symbol(S: GramMatrix, primes) -> tuple:
-    """Genus invariants at the given primes: the Jordan symbols, the
-    determinant square class and the Hasse invariants."""
+def _fraction_str(x: Fraction | None) -> str | None:
+    return None if x is None else f"{x.numerator}/{x.denominator}"
+
+
+def _genus_symbol(S: GramMatrix, splits: Sequence[JordanSplitting]) -> tuple:
+    """Genus invariants at the primes of the Jordan splittings of S: their
+    symbols, the determinant square class and the Hasse invariants."""
     inv = space_invariants(S)
-    return (tuple(jordan_decomposition(S, p).symbol() for p in primes),
-            inv.det_class,
-            tuple(inv.hasse_at(Place.finite(p)) for p in primes))
+    return (tuple(split.symbol() for split in splits), inv.det_class,
+            tuple(inv.hasse_at(split.prime) for split in splits))
 
 
 def enumerate_genus(S: GramMatrix, p: int, class_cap: int = 64,
                     aux_prime: int | None = None) -> GenusRecord:
     """Breadth-first neighbor closure from S at prime p, deduplicated by
-    isometry.  The closure at one good prime covers the spinor genus
-    component; aux_prime, when given, runs a second closure to probe for
-    further genus classes."""
-    check_primes = sorted({2, p} | factorint(abs(det(S))).keys())
-    seed_symbol = _genus_symbol(S, check_primes)
-    classes: list[GramMatrix] = [S]
-    edges: list[tuple[int, int]] = []
-    queue = [0]
-    complete = True
+    isometry, that stops as soon as the classes found make up the mass of
+    the genus (mass_certified).  The closure at one good prime covers the
+    spinor genus component; aux_prime, when given and the mass is not yet
+    reached, runs a second closure to probe for further genus classes.
+    Classes beyond the mass are an AssertionError."""
+    from .mass import _mass  # loaded on first use, not by `import latrep`
+    if not is_positive_definite(S):
+        raise ValueError("genus enumeration needs a positive definite form")
     primes = [p] + ([aux_prime] if aux_prime else [])
     for prime in primes:
+        _check_neighbor_prime(S, prime)
+    check_primes = sorted({2, p} | factorint(det(S)).keys())
+    seed_splits = [jordan_decomposition(S, q) for q in check_primes]
+    seed_symbol = _genus_symbol(S, seed_splits)
+    expected = _mass(S.n, det(S), seed_splits)
+    found = Fraction(1, automorphism_group_order(S))
+    classes, edges, complete = [S], [], True
+    for prime in primes:
         queue = list(range(len(classes)))
-        while queue:
+        while queue and complete and found != expected:
             i = queue.pop(0)
-            for nb in p_neighbors(classes[i], prime):
-                if _genus_symbol(nb, check_primes) != seed_symbol:
+            for nb in _neighbors(classes[i], prime):
+                splits = [jordan_decomposition(nb, q) for q in check_primes]
+                if _genus_symbol(nb, splits) != seed_symbol:
                     raise AssertionError("neighbor left the genus")
                 j = next((j for j, rep in enumerate(classes)
                           if is_isometric(nb, rep) is not None), None)
                 if j is None:
                     if len(classes) >= class_cap:
-                        return GenusRecord(seed=S, prime_used=p,
-                                           classes=tuple(classes),
-                                           provenance=tuple(edges),
-                                           complete=False)
+                        complete = False
+                        break
                     classes.append(nb)
+                    found += Fraction(1, automorphism_group_order(nb))
                     j = len(classes) - 1
                     queue.append(j)
                 edges.append((i, j))
+                if found == expected:
+                    break
+    if expected is not None and found > expected:
+        raise AssertionError("classes beyond the mass of the genus")
     return GenusRecord(seed=S, prime_used=p, classes=tuple(classes),
-                       provenance=tuple(edges), complete=complete)
+                       provenance=tuple(edges), complete=complete,
+                       mass_expected=expected, mass_found=found)
 
 
 def represented_by_all_classes(G: GenusRecord, T: GramMatrix, c: int = 1

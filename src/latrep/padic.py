@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .matrices import GramMatrix, det
@@ -163,15 +164,6 @@ def is_local_square(a, v: Place) -> bool:
     return legendre(u, v.p) == 1
 
 
-def relevant_places(S: GramMatrix) -> list[Place]:
-    """The real place, 2, and all primes dividing det(S)."""
-    d = det(S)
-    if d == 0:
-        raise ValueError("singular Gram matrix")
-    primes = sorted(factorint(abs(d)).keys() | {2})
-    return [REAL] + [Place.finite(p) for p in primes]
-
-
 @dataclass(frozen=True)
 class SpaceInvariants:
     """Rank, determinant square class, Hasse symbols and real signature of a
@@ -198,33 +190,35 @@ class SpaceInvariants:
 
 
 def invariants_of_diagonal(diag: Sequence) -> SpaceInvariants:
-    if any(x == 0 for x in diag):
-        raise ValueError("diagonal entry 0")
     d = [_int_class(x) for x in diag]
-    prod = 1
-    for x in d:
-        prod *= x
-    detc = squarefree_class(prod)
-    pos = sum(1 for x in d if x > 0)
-    neg = len(d) - pos
-    # the symbol can be nontrivial only at the real place, 2 and the primes
-    # dividing some entry; it is stored at the real place, 2, the primes of
-    # the det class and any place where it is -1, so the result does not
-    # depend on which diagonalization was used
-    always = {0, 2, *factorint(abs(detc))}
-    hasse = []
-    for q in sorted(always | factorint(abs(prod)).keys()):
-        v = Place(q)
-        eps = hasse_invariant(d, v)
-        if q in always or eps == -1:
-            hasse.append((v, eps))
-    return SpaceInvariants(rank=len(d), det_class=detc, hasse=tuple(hasse),
-                           signature=(pos, neg))
+    return _invariants(d, prod(d))
 
 
 def space_invariants(S: GramMatrix) -> SpaceInvariants:
-    """Invariants of the rational quadratic space of S; S nonsingular."""
-    return invariants_of_diagonal(_diagonal(S))
+    """Invariants of the rational quadratic space of S; S nonsingular.
+
+    S is unimodular at every odd prime q not dividing det(S), so has a
+    diagonal basis of units and Hasse symbol 1 there: of the diagonal,
+    nothing is factored."""
+    return _invariants(_diagonal(S), det(S))
+
+
+def _invariants(diag: list[int], d: int) -> SpaceInvariants:
+    """Invariants of diag(diag); d lies in the square class of its product,
+    and the primes of d include every odd prime where the Hasse symbol can
+    be -1.  The symbol is stored at the real place, 2, the primes of the
+    det class and any place where it is -1, so the result does not depend
+    on which diagonalization was used."""
+    factors = factorint(abs(d))
+    odd = [q for q, e in factors.items() if e % 2]
+    pos = sum(1 for x in diag if x > 0)
+    hasse = []
+    for q in sorted({0, 2} | factors.keys()):
+        eps = hasse_invariant(diag, Place(q))
+        if q in (0, 2) or q in odd or eps == -1:
+            hasse.append((Place(q), eps))
+    return SpaceInvariants(rank=len(diag), det_class=(-1 if d < 0 else 1) * prod(odd),
+                           hasse=tuple(hasse), signature=(pos, len(diag) - pos))
 
 
 # ---------------------------------------------------------------------------

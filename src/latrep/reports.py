@@ -171,6 +171,7 @@ class ScanResult:
     rows: tuple[ScanRow, ...]
     empirical_C: int | None
     exceptions: tuple[tuple, ...]
+    genus_mass_certified: bool  # the classes make up the genus mass
     resume_token: int | None = None
 
     def to_dict(self) -> dict:
@@ -182,6 +183,7 @@ class ScanResult:
             "rows": [r.as_record() for r in self.rows],
             "empirical_C": self.empirical_C,
             "exceptions": [list(e) for e in self.exceptions],
+            "genus_mass_certified": self.genus_mass_certified,
             "resume_token": self.resume_token,
         }
 
@@ -254,6 +256,7 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
     return ScanResult(family=family_desc, q=q, j=j, c=c,
                       neighbor_prime=neighbor_prime, rows=tuple(rows),
                       empirical_C=empirical, exceptions=tuple(exceptions),
+                      genus_mass_certified=genus.mass_certified,
                       resume_token=resume)
 
 

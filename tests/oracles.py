@@ -353,6 +353,23 @@ def automorphism_count_oracle(entries):
     return count(0)
 
 
+def genus_closure_oracle(S, primes):
+    """The classes reached from S by p-neighbor steps at each prime in turn:
+    a plain breadth-first closure on the public p_neighbors and
+    is_isometric, with no mass and no class cap, in the order in which the
+    classes are first met."""
+    from latrep import is_isometric, p_neighbors
+    classes = [S]
+    for p in primes:
+        i = 0
+        while i < len(classes):
+            for nb in p_neighbors(classes[i], p):
+                if all(is_isometric(nb, c) is None for c in classes):
+                    classes.append(nb)
+            i += 1
+    return classes
+
+
 def local_rep_oracle(S_entries, T_entries, p: int, c: int, N: int,
                      pair_cap: int = 40_000_000):
     """Exhaustive search for X mod p^N with X^t S X = T mod p^N whose

@@ -242,6 +242,7 @@ def test_acceptance_two_class_scan(verdict):
     ok = (len(result.rows) == 55
           and len(admissible) == 42
           and all(r.classes_total == 2 for r in admissible)
+          and result.genus_mass_certified
           and result.exceptions == predicted == ((1, 1), (1, 3), (1, 5), (1, 7))
           and result.empirical_C == 1)
     verdict("two-class-scan", ok)

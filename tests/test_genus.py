@@ -1,15 +1,15 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
 from oracles import automorphism_count_oracle, random_pos_def_entries
 
 from latrep.enumeration import lattice_minimum, lll_reduce, vectors_of_norm
-from latrep.genus import (SpinorNormClass, _automorphisms, _lift_isotropic,
-                          _neighbor_gram, _projective_points,
-                          automorphism_group_order, enumerate_genus,
-                          is_isometric, p_neighbors,
-                          represented_by_all_classes, spinor_norm_reflection)
+from latrep.genus import (_automorphisms, _lift_isotropic, _neighbor_gram,
+                          _projective_points, automorphism_group_order,
+                          enumerate_genus, is_isometric, p_neighbors,
+                          represented_by_all_classes)
 from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
                              gram_of_columns, is_positive_definite)
 
@@ -46,21 +46,6 @@ def random_unimodular(n, steps=10):
         for k in range(n):
             m[i][k] += f * m[j][k]
     return IntMatrix(m)
-
-
-def test_spinor_norm_class_multiplication():
-    a = SpinorNormClass(2)
-    b = SpinorNormClass(8)
-    assert (a * b).value == 1
-    assert (SpinorNormClass(3) * SpinorNormClass(5)).value == 15
-
-
-def test_spinor_norm_reflection():
-    S = GramMatrix.identity(3)
-    assert spinor_norm_reflection(S, (1, 1, 0)).value == 2
-    assert spinor_norm_reflection(S, (2, 0, 0)).value == 1
-    with pytest.raises(ValueError):
-        spinor_norm_reflection(GramMatrix.diagonal([1, -1]), (1, 1))
 
 
 def test_is_isometric_positive_cases():
@@ -115,6 +100,40 @@ def test_genus_record_dict():
     assert d["complete"] is True
     assert d["prime_used"] == 5
     assert len(d["classes"]) == 1
+    assert d["mass_expected"] == d["mass_found"] == "1/8"
+    assert d["mass_certified"] is True
+
+
+def test_certified_closure_stops_at_the_mass(monkeypatch):
+    import latrep.genus
+
+    # class number 1: the seed alone makes up the mass, so no neighbor is
+    # built and the auxiliary prime is not walked
+    def no_walk(S, p):
+        raise AssertionError("neighbors built")
+
+    monkeypatch.setattr(latrep.genus, "_neighbors", no_walk)
+    record = enumerate_genus(GramMatrix.identity(6), 3, aux_prime=5)
+    assert record.mass_certified and record.classes == (GramMatrix.identity(6),)
+    assert record.provenance == ()
+    with pytest.raises(ValueError):  # the primes are still checked
+        enumerate_genus(GramMatrix.identity(6), 3, aux_prime=2)
+
+
+def test_uncertified_closure_above_the_conductor_bound(monkeypatch):
+    import latrep.mass
+
+    S = GramMatrix.diagonal([1, 17])
+    certified = enumerate_genus(S, 3)
+    assert certified.mass_certified
+    assert certified.mass_expected == Fraction(1, 2)  # 1/4 + 1/4
+    monkeypatch.setattr(latrep.mass, "_MAX_CONDUCTOR", 16)
+    record = enumerate_genus(S, 3)
+    assert record.mass_expected is None and not record.mass_certified
+    assert record.classes == certified.classes and record.complete
+    assert record.to_dict()["mass_expected"] is None
+    with pytest.raises(ValueError):
+        latrep.mass.genus_mass(S)
 
 
 def test_genus_nontrivial_two_classes():

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -139,10 +141,11 @@ def test_int_inputs_build_no_fraction(monkeypatch):
 
 
 def test_hilbert_matches_solvability_oracle():
+    rand = random.Random(97)
     for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        a = rng.choice([x for x in range(-9, 10) if x])
-        b = rng.choice([x for x in range(-9, 10) if x])
+        p = rand.choice([2, 3, 5])
+        a = rand.choice([x for x in range(-9, 10) if x])
+        b = rand.choice([x for x in range(-9, 10) if x])
         expect = hilbert_oracle(a, b, p)
         assert (hilbert_symbol(a, b, Place.finite(p)) == 1) == expect, (a, b, p)
 
@@ -267,6 +270,29 @@ def test_isotropy_rank5_always():
 def test_isotropy_real():
     assert not is_isotropic(invariants_of_diagonal([1, 1, 1]), REAL)
     assert is_isotropic(invariants_of_diagonal([1, -1]), REAL)
+
+
+def test_space_invariants_factor_only_det():
+    """A Gram A^t A + I with 24-digit det, whose diagonal over Q has a
+    product of about 150 digits: only det(S) is factored.  The symbols
+    match the Fraction diagonalisation at the places of 2 det(S) and obey
+    Hilbert reciprocity."""
+    draw = random.Random(1)
+    A = [[draw.randint(-100, 100) for _ in range(6)] for _ in range(6)]
+    S = GramMatrix([[sum(A[k][i] * A[k][j] for k in range(6)) + (i == j)
+                     for j in range(6)] for i in range(6)])
+    start = time.perf_counter()
+    inv = space_invariants(S)
+    assert time.perf_counter() - start < 10
+    d = det(S)
+    assert len(str(d)) == 24
+    assert inv.det_class == squarefree_class(d)
+    diag = fraction_diagonal_oracle([list(r) for r in S.entries])
+    places = {REAL, Place.finite(2)} | {Place.finite(q) for q in sympy.factorint(d)}
+    assert {v for v, _ in inv.hasse} <= places
+    for v in places:
+        assert inv.hasse_at(v) == hasse_invariant(diag, v), v
+    assert prod(e for _, e in inv.hasse) == 1
 
 
 def test_jordan_reassembly_invariants():

@@ -10,7 +10,7 @@ from latrep.localrep import complement_isotropic_at_q
 from latrep.matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
                              det_int, gram_of_columns, invert_unimodular,
                              is_positive_definite)
-from latrep.padic import space_invariants
+from latrep.padic import jordan_decomposition, space_invariants
 from latrep.reports import check_theorem_hypotheses
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -107,7 +107,8 @@ def test_invariants_unchanged_by_basis_change(case):
     assert lattice_minimum(S2) == lattice_minimum(S)
     assert space_invariants(S2) == space_invariants(S)
     primes = sorted({2} | set(sympy.factorint(det(S))))
-    assert _genus_symbol(S2, primes) == _genus_symbol(S, primes)
+    assert (_genus_symbol(S2, [jordan_decomposition(S2, p) for p in primes])
+            == _genus_symbol(S, [jordan_decomposition(S, p) for p in primes]))
 
 
 @st.composite

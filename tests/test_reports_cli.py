@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,7 @@ def test_scan_family_three_squares_shape():
                          q=3, j=1, c=1, neighbor_prime=3)
     assert result.exceptions == ()
     assert result.empirical_C == 0
+    assert result.to_dict()["genus_mass_certified"] is True
     assert len(result.rows) == 20
     for row in result.rows:
         if row.local_ok:
@@ -273,6 +275,21 @@ def test_cli_genus(capsys, i4):
     data = json.loads(out)
     assert data["complete"] is True
     assert len(data["classes"]) == 1
+    assert data["mass_certified"] is True
+    assert data["mass_expected"] == data["mass_found"] == "1/384"
+
+
+def test_cli_genus_classes_beyond_the_mass(capsys, monkeypatch, i4):
+    # a genus mass below 1/|Aut(I4)| is an internal failure, exit 4
+    import latrep.mass
+    monkeypatch.setattr(latrep.mass, "_mass",
+                        lambda n, d, splits: Fraction(1, 10 ** 6))
+    code = main(["genus", "--gram", i4, "-p", "3"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["type"] == "AssertionError"
 
 
 def test_cli_check(capsys, tmp_path, i8):
