@@ -35,11 +35,8 @@ J_HELP = ("bound on ord_q(det T).  Note the off-by-one between the two "
           "valuation form ord_q(det T) <= j throughout.")
 
 
-def _emit(obj, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def _emit(obj) -> None:
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _load_matrix(path) -> IntMatrix:
@@ -55,7 +52,7 @@ def cmd_invariants(args) -> int:
            "det": det(S),
            "det_class": inv.det_class,
            "signature": list(inv.signature),
-           "hasse": {str(v): e for v, e in inv.hasse}}, args.format)
+           "hasse": {str(v): e for v, e in inv.hasse}})
     return EXIT_OK
 
 
@@ -69,8 +66,7 @@ def cmd_jordan(args) -> int:
         if comp.even is not None:
             entry["even"] = comp.even
         comps.append(entry)
-    _emit({"schema_version": 1, "prime": args.p, "components": comps},
-          args.format)
+    _emit({"schema_version": 1, "prime": args.p, "components": comps})
     return EXIT_OK
 
 
@@ -82,9 +78,8 @@ def cmd_localrep(args) -> int:
                  represents_over_Zp(S, T, args.p, args.c)}
     else:
         certs = represents_locally_everywhere(S, T, args.c)
-    _emit({"schema_version": 1,
-           "certificates": [cert.to_dict() for _, cert in sorted(certs.items())]},
-          args.format)
+    _emit({"schema_version": 1, "certificates":
+           [cert.to_dict() for _, cert in sorted(certs.items())]})
     statuses = {cert.status for cert in certs.values()}
     if UNDECIDED in statuses:
         return EXIT_UNDECIDED
@@ -96,14 +91,13 @@ def cmd_isotropy(args) -> int:
     inv = space_invariants(S)
     place = REAL if args.q == 0 else Place.finite(args.q)
     iso = is_isotropic(inv, place)
-    _emit({"schema_version": 1, "place": str(place), "isotropic": iso},
-          args.format)
+    _emit({"schema_version": 1, "place": str(place), "isotropic": iso})
     return EXIT_OK
 
 
 def cmd_minimum(args) -> int:
     S = load_gram(args.gram)
-    _emit({"schema_version": 1, "minimum": lattice_minimum(S)}, args.format)
+    _emit({"schema_version": 1, "minimum": lattice_minimum(S)})
     return EXIT_OK
 
 
@@ -113,7 +107,7 @@ def cmd_represent(args) -> int:
     embs = find_representations(S, T, args.c, limit=args.limit)
     _emit({"schema_version": 1,
            "count": len(embs),
-           "representations": [e.to_dict() for e in embs]}, args.format)
+           "representations": [e.to_dict() for e in embs]})
     return EXIT_OK if embs else EXIT_FAIL
 
 
@@ -127,7 +121,7 @@ def cmd_extend(args) -> int:
     tau = extend_representation(S, sigma, T_M, glue)
     _emit({"schema_version": 1,
            "extended": tau is not None,
-           "tau": None if tau is None else tau.to_dict()}, args.format)
+           "tau": None if tau is None else tau.to_dict()})
     return EXIT_OK if tau is not None else EXIT_FAIL
 
 
@@ -135,7 +129,7 @@ def cmd_genus(args) -> int:
     S = load_gram(args.gram)
     record = enumerate_genus(S, args.p, class_cap=args.cap,
                              aux_prime=args.aux_prime)
-    _emit(record.to_dict(), args.format)
+    _emit(record.to_dict())
     return EXIT_OK
 
 
@@ -168,15 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "search and local-global scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, target=False, fmt=True):
+    def common(p, target=False, formats=("json",)):
         p.add_argument("--gram", required=True, help="Gram matrix file "
                        "(first line n then n rows, or a JSON array of arrays)")
         if target:
             p.add_argument("--target", required=True,
                            help="target Gram matrix file, same format")
-        if fmt:
-            p.add_argument("--format", default="json", choices=["json", "csv"],
-                           help="output format (default json)")
+        p.add_argument("--format", default="json", choices=formats,
+                       help="output format (default json)")
 
     p = sub.add_parser("invariants", help="rational space invariants")
     common(p)
@@ -239,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("scan", help="family scan for the empirical constant")
-    common(p)
+    common(p, formats=("json", "csv"))
     p.add_argument("--family", required=True,
                    help="family spec: rank1:B or diag2:B")
     p.add_argument("-q", type=int, required=True, help="distinguished prime")

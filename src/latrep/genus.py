@@ -243,8 +243,6 @@ def _neighbors(S: GramMatrix, p: int) -> Iterator[GramMatrix]:
         if det(G) != d:
             raise AssertionError("neighbor determinant changed")
         reduced, _ = lll_reduce(G)
-        if any(reduced.entries == r.entries for r in out):
-            continue
         if any(is_isometric(reduced, r) is not None for r in out):
             continue
         out.append(reduced)
@@ -353,7 +351,10 @@ def enumerate_genus(S: GramMatrix, p: int, class_cap: int = 64,
     primes = [p] + ([aux_prime] if aux_prime else [])
     for prime in primes:
         _check_neighbor_prime(S, prime)
-    check_primes = sorted({2, p} | factorint(det(S)).keys())
+    # the primes of the mass formula: at a neighbour prime, or any other
+    # prime not dividing 2 det(S), every form of rank n and determinant
+    # det(S) is unimodular with the same symbol and Hasse invariant 1
+    check_primes = sorted({2} | factorint(det(S)).keys())
     seed_splits = [jordan_decomposition(S, q) for q in check_primes]
     seed_symbol = _genus_symbol(S, seed_splits)
     expected = _mass(S.n, det(S), seed_splits)
@@ -364,12 +365,13 @@ def enumerate_genus(S: GramMatrix, p: int, class_cap: int = 64,
         while queue and complete and found != expected:
             i = queue.pop(0)
             for nb in _neighbors(classes[i], prime):
-                splits = [jordan_decomposition(nb, q) for q in check_primes]
-                if _genus_symbol(nb, splits) != seed_symbol:
-                    raise AssertionError("neighbor left the genus")
                 j = next((j for j, rep in enumerate(classes)
                           if is_isometric(nb, rep) is not None), None)
                 if j is None:
+                    # an isometric neighbour shares its class's symbol
+                    splits = [jordan_decomposition(nb, q) for q in check_primes]
+                    if _genus_symbol(nb, splits) != seed_symbol:
+                        raise AssertionError("neighbor left the genus")
                     if len(classes) >= class_cap:
                         complete = False
                         break

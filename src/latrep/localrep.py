@@ -2,13 +2,12 @@
 imprimitivity, and the isotropy-of-complement condition at a
 distinguished prime.
 
-The decision procedure is a certified search modulo p^N: a witness of
-X^t S X = T mod p^N whose induced sublattice has small enough
-discriminant valuation lifts to Z_p by the quadratic Hensel argument,
-while exhaustion without any admissible witness modulo p^N refutes
-representability (a genuine Z_p solution would reduce to one).
-Outcomes that survive one precision escalation are surfaced as a third
-"undecided" status, never coerced to a boolean.
+The decision procedure is a certified search modulo p^N, N = 2e + 1 with
+e >= ord_p det T.  A witness of X^t S X = T mod p^N matches every entry,
+so ord_p det(X^t S X) = ord_p det T <= e, and it lifts to Z_p by the
+quadratic Hensel argument; exhaustion without an admissible witness
+refutes representability (a Z_p solution would reduce to one).  A search
+that runs out of its node budget is "undecided", never a boolean.
 
 The imprimitivity bound needs only the p-valuations of the Smith divisors
 of a candidate X, and those are determined by X mod p^k up to the cap k:
@@ -26,10 +25,10 @@ from operator import mul
 
 from .enumeration import (Embedding, check_imprimitivity_bound,
                           find_representations)
-from .matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
-                       gram_of_columns, is_positive_definite)
-from .padic import (Place, REAL, complement_isotropic, ord_p,
-                    space_invariants, space_represents)
+from .matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
+                       is_positive_definite)
+from .padic import (Place, REAL, complement_isotropic, is_local_square,
+                    legendre, ord_p, space_invariants, squarefree_class)
 from .primes import factorint, isprime
 
 REPRESENTABLE = "representable"
@@ -42,7 +41,7 @@ class LocalRepCertificate:
     place: Place
     status: str
     witness: IntMatrix | None = None
-    precision: int | None = None  # exponent N; None for exact witnesses
+    precision: int | None = None  # exponent N of the search; None without one
     exact: bool = False
     divisor_valuations: tuple[int, ...] = ()
     margin: int | None = None
@@ -112,19 +111,17 @@ def _smith_valuations(columns, p: int, k: int) -> tuple[int, ...]:
 
 
 def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
-                   margin_bound: int, node_budget: int):
+                   node_budget: int):
     """Enumerate X mod p^N with X^t S X = T mod p^N column by column.
 
-    Returns (certified_witness, witness_vals, any_filtered, budget_exceeded).
-    A 'filtered' witness passes the elementary-divisor valuation bound;
-    a certified one additionally passes the Hensel margin rule.
+    Returns (witness, witness_vals, budget_exceeded): the first X whose
+    elementary divisors pass the valuation bound of c, or None.
     Columns travel with their images S x, which every inner product reads.
     """
     n, m = S.n, T.n
     pN = p ** N
     ordc = ord_p(c, p) if c % p == 0 else 0
     budget = [node_budget]
-    any_filtered = [False]
     srows = S.entries
 
     def srow(x):
@@ -174,6 +171,7 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
         products mod p^N."""
         tkk = T.entries[k][k]
         lins = [(sx, T.entries[j][k]) for j, (_, sx) in enumerate(prefix)]
+        prefix_rows = [[v % p for v in sx] for sx, _ in lins]
 
         def candidate_digits(level, x, sx, step, qmod):
             """Digit vectors at this level; for level >= 1 the constraints
@@ -183,11 +181,9 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
             if level == 0:
                 yield from product(range(p), repeat=n)
                 return
-            rows, rhs = [], []
-            for scol, target in lins:
-                r = sum(map(mul, scol, x)) - target
-                rows.append([v % p for v in scol])
-                rhs.append(-(r // step))
+            rows = prefix_rows[:]
+            rhs = [-((sum(map(mul, scol, x)) - target) // step)
+                   for scol, target in lins]
             # quadratic constraint: Q(x + step d) = Q(x) + 2 step (Sx . d)
             # + step^2 Q(d); at p = 2 the d_i^2 = d_i identity keeps the
             # step = 2 case linear as well
@@ -232,24 +228,18 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
 
         yield from rec(0, [0] * n, [0] * n)
 
-    certified = None
-    certified_vals = ()
+    witness = None
+    witness_vals = ()
 
     def full_check(chosen) -> bool:
-        nonlocal certified, certified_vals
+        nonlocal witness, witness_vals
         cols = [x for x, _ in chosen]
         vals = _smith_valuations(cols, p, N)
         if any(v > ordc for v in vals):
             return False
-        any_filtered[0] = True
-        dG = _det_bareiss([[sum(map(mul, x, sy)) for _, sy in chosen]
-                           for x in cols])
-        vd = ord_p(dG, p) if dG != 0 else N
-        if vd <= margin_bound and 2 * vd < N:
-            certified = IntMatrix.from_columns(cols)
-            certified_vals = vals
-            return True
-        return False
+        witness = IntMatrix.from_columns(cols)
+        witness_vals = vals
+        return True
 
     def columns(k: int, chosen) -> bool:
         if k == m:
@@ -262,15 +252,15 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
         return False
 
     columns(0, [])
-    return certified, certified_vals, any_filtered[0], budget[0] <= 0
+    return witness, witness_vals, budget[0] <= 0
 
 
 def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
-                       precision: int | None = None,
                        node_budget: int = 2_000_000,
                        try_global: bool = True) -> LocalRepCertificate:
     """Decide existence of X over Z_p with X^t S X = T and all elementary
-    divisors dividing c."""
+    divisors dividing c.  Equal ranks are refuted first when det(X)^2 det S
+    = det T has no solution with ord_p det X <= n ord_p(c)."""
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     check_imprimitivity_bound(c)
@@ -280,38 +270,35 @@ def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
     if dS == 0 or dT == 0:
         raise ValueError("forms must be nonsingular")
     place = Place.finite(p)
+    ordc = ord_p(c, p) if c % p == 0 else 0
+
+    if T.n == S.n:
+        gap = ord_p(dT, p) - ord_p(dS, p)
+        if (gap % 2 or not 0 <= gap <= 2 * S.n * ordc
+                or not is_local_square(dS * dT, place)):  # dT/dS, up to squares
+            return LocalRepCertificate(place=place, status=NOT_REPRESENTABLE,
+                                       method="determinant")
 
     if try_global and is_positive_definite(S) and is_positive_definite(T):
         embs = find_representations(S, T, c, limit=1)
         if embs:
             return _exact_certificate(place, embs[0], p)
 
-    ordc = ord_p(c, p) if c % p == 0 else 0
     e = (1 if p == 2 else 0) + ord_p(dS, p) + ord_p(dT, p) + 2 * ordc
-    margin_bound = ord_p(dT, p) + 2 * T.n * ordc
-    N0 = precision if precision is not None else 2 * e + 1
-    schedule = [N0] if precision is not None else [N0, 2 * N0]
-
-    last_N = N0
-    for N in schedule:
-        last_N = N
-        witness, vals, any_filtered, exhausted_budget = _search_mod_pN(
-            S, T, p, c, N, margin_bound, node_budget)
-        if witness is not None:
-            return LocalRepCertificate(place=place, status=REPRESENTABLE,
-                                       witness=witness, precision=N,
-                                       divisor_valuations=vals,
-                                       margin=margin_bound, method="search")
-        if exhausted_budget:
-            return LocalRepCertificate(place=place, status=UNDECIDED,
-                                       precision=N, margin=margin_bound,
-                                       method="budget")
-        if not any_filtered:
-            return LocalRepCertificate(place=place, status=NOT_REPRESENTABLE,
-                                       precision=N, margin=margin_bound,
-                                       method="search")
-    return LocalRepCertificate(place=place, status=UNDECIDED, precision=last_N,
-                               margin=margin_bound, method="search")
+    margin = ord_p(dT, p) + 2 * T.n * ordc
+    N = 2 * e + 1
+    witness, vals, exhausted_budget = _search_mod_pN(S, T, p, c, N,
+                                                     node_budget)
+    if witness is not None:
+        return LocalRepCertificate(place=place, status=REPRESENTABLE,
+                                   witness=witness, precision=N,
+                                   divisor_valuations=vals, margin=margin,
+                                   method="search")
+    if exhausted_budget:
+        return LocalRepCertificate(place=place, status=UNDECIDED, precision=N,
+                                   margin=margin, method="budget")
+    return LocalRepCertificate(place=place, status=NOT_REPRESENTABLE,
+                               precision=N, margin=margin, method="search")
 
 
 def _relevant_primes(S: GramMatrix, T: GramMatrix, c: int) -> list[int]:
@@ -336,35 +323,28 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
     global_embs = find_representations(S, T, c, limit=1)
     emb = global_embs[0] if global_embs else None
 
-    for p in _relevant_primes(S, T, c):
+    primes = _relevant_primes(S, T, c)
+    for p in primes:
         if emb is not None:
             out[Place.finite(p)] = _exact_certificate(Place.finite(p), emb, p)
         else:
             out[Place.finite(p)] = represents_over_Zp(S, T, p, c,
                                                       try_global=False)
 
-    # outside the relevant set both lattices are unimodular at an odd prime;
-    # for rank gap >= 1 that forces representability, for equal ranks the
-    # determinant square classes must agree at p
+    # outside the relevant set both lattices are unimodular at an odd prime
+    # l; for rank gap >= 1 that forces representability, for equal ranks
+    # the determinant square classes must agree at l, so det S det T must
+    # be a square mod l
     if T.n == S.n and emb is None:
-        from .padic import squarefree_class
         q = squarefree_class(det(S) * det(T))
         if q != 1:
-            invS, invT = space_invariants(S), space_invariants(T)
-            checked = set(_relevant_primes(S, T, c))
-            cand = 3
-            while True:
-                if cand not in checked and isprime(cand):
+            for cand in range(3, 4 * abs(q) + 102, 2):
+                if (cand not in primes and isprime(cand)
+                        and legendre(q, cand) == -1):
                     v = Place.finite(cand)
-                    if not space_represents(invT, invS, v):
-                        out[v] = LocalRepCertificate(
-                            place=v, status=NOT_REPRESENTABLE,
-                            method="unimodular")
-                        break
-                    checked.add(cand)
-                if cand > 4 * abs(q) + 100:
-                    break  # quotient is a square at every odd prime
-                cand += 2
+                    out[v] = LocalRepCertificate(
+                        place=v, status=NOT_REPRESENTABLE, method="unimodular")
+                    break
     return out
 
 

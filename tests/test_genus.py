@@ -216,6 +216,20 @@ def test_genus_check_uses_invariants_at_two():
     assert all(det(c) == 64 for c in record.classes)
 
 
+def test_new_class_outside_the_genus_raises(monkeypatch):
+    # the genus symbol is checked once per new class, not per neighbour;
+    # a symbol that tells E8 + I1 apart from I9 must still stop the closure
+    import latrep.genus
+    symbol = latrep.genus._genus_symbol
+
+    def marked(S, splits):
+        return symbol(S, splits) + (len(vectors_of_norm(S, 1).vectors),)
+
+    monkeypatch.setattr(latrep.genus, "_genus_symbol", marked)
+    with pytest.raises(AssertionError, match="neighbor left the genus"):
+        enumerate_genus(GramMatrix.identity(9), 3)
+
+
 def test_e8_genus_and_kissing():
     assert lattice_minimum(E8) == 2
     assert len(vectors_of_norm(E8, 2).vectors) == 120  # 240 up to sign

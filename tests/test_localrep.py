@@ -116,22 +116,87 @@ def test_smith_valuations_match_integer_smith_form():
 
 
 def test_witness_mod_pN_is_a_solution():
-    cert = represents_over_Zp(I4, GramMatrix.diagonal([6]), 2, 1,
-                              try_global=False)
-    assert cert.status == REPRESENTABLE
-    if not cert.exact:
-        X = cert.witness
-        pN = 2 ** cert.precision
-        from latrep.matrices import gram_of_columns
-        G = gram_of_columns(I4, X)
-        assert (G.entries[0][0] - 6) % pN == 0
+    """The search matches every entry of X^t S X mod p^N at N = 2e + 1, so
+    ord_p det(X^t S X) = ord_p det T <= e: the Hensel margin holds by
+    construction."""
+    draw = random.Random(7013)
+    cases = [(2, I4.entries, ((6,),), 1, 5)]
+    cases += [draw_local_instance(draw, rank=1) for _ in range(300)]
+    cases += [draw_local_instance(draw, rank=2, extra=0, cap=1_000_000)
+              for _ in range(100)]
+    searched = 0
+    for p, S_rows, T_rows, c, N in cases:
+        S, T = GramMatrix(S_rows), GramMatrix(T_rows)
+        cert = represents_over_Zp(S, T, p, c, try_global=False)
+        assert cert.status != UNDECIDED, (S_rows, T_rows, p, c)
+        if cert.method != "search" or not cert.representable:
+            continue
+        searched += 1
+        assert cert.precision == N, (S_rows, T_rows, p, c)
+        G = gram_of_columns(S, cert.witness)
+        assert all((g - t) % p ** N == 0
+                   for grow, trow in zip(G.entries, T.entries)
+                   for g, t in zip(grow, trow))
+        assert ord_p(det(G), p) == ord_p(det(T), p), (S_rows, T_rows, p, c)
+    assert searched > 200
 
 
-def test_fixed_precision_and_budget_give_undecided():
+def test_node_budget_gives_undecided():
     # tiny budget forces an honest undecided, never a wrong boolean
     cert = represents_over_Zp(I4, GramMatrix.diagonal([15]), 2, 1,
                               node_budget=5, try_global=False)
     assert cert.status == UNDECIDED
+    assert cert.method == "budget"
+
+
+def test_equal_rank_decided_from_determinants():
+    # det(X)^2 det S = det T, and 7 is no square at 7 or at 2; at 7 the
+    # search alone ran out of its node budget
+    T = GramMatrix.diagonal([1, 1, 7])
+    for p in (2, 7):
+        cert = represents_over_Zp(I3, T, p, try_global=False)
+        assert cert.status == NOT_REPRESENTABLE and cert.method == "determinant"
+    assert represents_over_Zp(I3, T, 3, try_global=False).representable
+    draw = random.Random(1213)
+    methods = []
+    while len(methods) < 30:
+        p, S_rows, T_rows, c, N = draw_local_instance(draw, rank=2, extra=0,
+                                                      cap=1_000_000)
+        if len(S_rows) != 2:
+            continue
+        S, T = GramMatrix(S_rows), GramMatrix(T_rows)
+        cert = represents_over_Zp(S, T, p, c, try_global=False)
+        methods.append(cert.method)
+        expect = local_rep_oracle(S_rows, T_rows, p, c, N, pair_cap=1_000_000)
+        assert cert.status != UNDECIDED
+        if expect != "unknown":
+            assert cert.representable == (expect == "representable"), \
+                (S_rows, T_rows, p, c, cert.method, expect)
+    assert set(methods) == {"determinant", "search"}
+
+
+def test_equal_rank_unimodular_refutation_is_the_first():
+    """At an odd prime l outside 2 c det S det T both lattices are
+    unimodular, and T is represented at l iff det S det T is a square mod
+    l; the certificate names the first l where it is not."""
+    draw = random.Random(3301)
+    refuted = 0
+    while refuted < 25:
+        S_rows = random_pos_def_entries(draw, 2)
+        T_rows = random_pos_def_entries(draw, 2)
+        S, T = GramMatrix(S_rows), GramMatrix(T_rows)
+        certs = represents_locally_everywhere(S, T)
+        found = [v.p for v, cert in certs.items() if cert.method == "unimodular"]
+        if not found:
+            continue
+        refuted += 1
+        (ell,) = found
+        assert local_rep_oracle(S_rows, T_rows, ell, 1, 1) == "not_representable"
+        bad = 2 * det(S) * det(T)
+        for q in range(3, ell, 2):
+            if bad % q and all(q % r for r in range(3, q, 2)):
+                assert local_rep_oracle(S_rows, T_rows, q, 1, 1) == \
+                    "representable", (S_rows, T_rows, q)
 
 
 def test_locally_everywhere_three_squares():

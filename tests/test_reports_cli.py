@@ -243,6 +243,12 @@ def test_cli_localrep_exit_codes(capsys, tmp_path):
     assert json.loads(out)["certificates"]
     code, _ = run_cli(capsys, "localrep", "--gram", i3, "--target", t7)
     assert code == 1
+    # equal ranks: det 7 is no square at 2 or at 7, refuted without a search
+    t117 = write_gram(tmp_path, "t117.json", GramMatrix.diagonal([1, 1, 7]).entries)
+    code, out = run_cli(capsys, "localrep", "--gram", i3, "--target", t117)
+    assert code == 1
+    methods = {c["method"] for c in json.loads(out)["certificates"]}
+    assert "determinant" in methods
 
 
 def test_cli_isotropy(capsys, i4):
@@ -254,9 +260,17 @@ def test_cli_isotropy(capsys, i4):
 
 
 def test_cli_minimum(capsys, i8):
-    code, out = run_cli(capsys, "minimum", "--gram", i8)
+    code, out = run_cli(capsys, "minimum", "--gram", i8, "--format", "json")
     assert code == 0
     assert json.loads(out)["minimum"] == 1
+    # CSV is defined for scans only; argparse refuses it elsewhere
+    for cmd in ("minimum", "check"):
+        args = [cmd, "--gram", i8]
+        if cmd == "check":
+            args += ["--target", i8, "-q", "3", "-j", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--format", "csv"])
+        assert exc.value.code == 2
 
 
 def test_cli_represent(capsys, tmp_path, i4):
