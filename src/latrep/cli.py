@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, target=True)
     p.add_argument("-c", type=int, default=1, help="imprimitivity bound")
     p.add_argument("--limit", type=int, default=1,
-                   help="stop after this many representations (default 1)")
+                   help="stop after this many representations, at least 1 "
+                        "(default 1)")
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("extend", help="extend a representation of a sublattice")

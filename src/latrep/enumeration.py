@@ -9,9 +9,15 @@ measurement and representation extension.  No floating point anywhere.
 The column search keeps one kernel frame per column prefix (the Smith form
 of the prefix's linear constraints, the LLL-reduced kernel and the
 adjugate of its Gram), under the one cache policy, so each candidate
-column costs one particular solution and one shifted enumeration.  Under
-the same policy each Gram is LLL-reduced once, with its Gram-Schmidt data,
-for its minimum, its short vectors and its vectors of one norm.
+column costs one particular solution and one shifted enumeration.  The
+frame also holds a unimodular row echelon of the prefix itself, so the
+divisor bound c is tested inside the search: a candidate column is kept
+only while the exponent of sat(L)/L for the columns L so far divides c,
+which costs one matrix-vector product, one gcd and, when the prefix is
+imprimitive, one congruence per prefix column.  Only admitted X reach
+`Embedding.build`.  Under the same policy each Gram is
+LLL-reduced once, with its Gram-Schmidt data, for its minimum, its short
+vectors and its vectors of one norm.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -258,7 +264,9 @@ class Embedding:
 
         With U X V = diag(d), X = U^-1[:, :m] diag(d) V^-1 and U^-1[:, :m]
         is a basis of the saturation, so the coordinates of X in its
-        saturation have exactly the Smith divisors of X."""
+        saturation have exactly the Smith divisors of X; only the divisors
+        are computed, not U and V.  `find_representations` builds only the
+        X its column search has admitted."""
         if gram_of_columns(S, X).entries != T.entries:
             raise ValueError("X^t S X != T")
         divisors = elementary_divisors(X)
@@ -274,6 +282,10 @@ class Embedding:
                 "imprimitivity_bound": self.imprimitivity_bound}
 
 
+# (E, adj(H), det(H)) for a column prefix P: see _prefix_echelon
+_Echelon = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]
+
+
 @dataclass(frozen=True)
 class _KernelFrame:
     """What the column search needs of the prior columns v_j alone.
@@ -284,7 +296,9 @@ class _KernelFrame:
     of its Gram Gred.  (d, lam) are the integral Gram-Schmidt data of Gred,
     and adj = adj(Gred) and D = det(Gred) = d[-1] complete the square.  The
     kernel fields B, BtS, d, lam and adj are None when A has full column
-    rank.  Cached and shared between calls, so every field is immutable."""
+    rank.  `echelon` is the prefix's own row echelon (see _prefix_echelon),
+    which the divisor bound of the search reads.  Cached and shared between
+    calls, so every field is immutable."""
 
     U: tuple[tuple[int, ...], ...]
     divisors: tuple[int, ...]  # the rank nonzero Smith divisors of A
@@ -294,6 +308,74 @@ class _KernelFrame:
     d: tuple[int, ...] | None
     lam: tuple[tuple[int, ...], ...] | None
     adj: tuple[tuple[int, ...], ...] | None
+    echelon: _Echelon | None
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _prefix_echelon(prior: Sequence[tuple[int, ...]], n: int
+                    ) -> _Echelon | None:
+    """(E, adj(H), det(H)) with E unimodular and E P = [H; 0] for the
+    columns P of prior, H upper triangular with positive diagonal; None
+    when P is rank-deficient.  det(H) is the index of P's span in its
+    saturation.  Column k of P is placed by 2x2 extended-gcd steps that
+    fold the entries of E v_k below row k into row k."""
+    if len(prior) > n:
+        return None
+    E = [[int(i == j) for j in range(n)] for i in range(n)]
+    adj: list[list[int]] = []
+    h = 1
+    for k, v in enumerate(prior):
+        w = [sum(map(mul, row, v)) for row in E]
+        for i in range(k + 1, n):
+            if w[i]:
+                g, x, y = _xgcd(w[k], w[i])
+                a, b = w[k] // g, w[i] // g
+                E[k], E[i] = ([x * s + y * t for s, t in zip(E[k], E[i])],
+                              [a * t - b * s for s, t in zip(E[k], E[i])])
+                w[k], w[i] = g, 0
+        g = w[k]
+        if g == 0:
+            return None
+        if g < 0:
+            E[k], g = [-x for x in E[k]], -g
+        # adj([[H, w'], [0, g]]) = [[g adj(H), -adj(H) w'], [0, det H]]
+        aw = [sum(map(mul, row, w[:k])) for row in adj]
+        adj = [[g * x for x in row] + [-y] for row, y in zip(adj, aw)]
+        adj.append([0] * k + [h])
+        h *= g
+    return tuple(map(tuple, E)), tuple(map(tuple, adj)), h
+
+
+def _admits(echelon: _Echelon | None, v: tuple[int, ...], c: int) -> bool:
+    """Whether the exponent of sat(L)/L for L = [P v] divides c, given that
+    it divides c for the prefix P of `echelon`.
+
+    With w = E v, E [P v] = [[H, w'], [0, g e_1]] after a unimodular change
+    of the rows below H, where w' is the head of w and g the gcd of its
+    tail, so sat(L)/L is Z^(k+1) / M Z^(k+1) for M = [[H, w'], [0, g]].
+    Its exponent divides c iff c M^-1 is integral: g | c and
+    (c/g) adj(H) w' = 0 mod det H, as c H^-1 is integral already."""
+    if echelon is None:
+        return False  # a rank-deficient prefix has no full-rank completion
+    E, adj, h = echelon
+    w = [sum(map(mul, row, v)) for row in E]
+    k = len(adj)
+    g = gcd(*w[k:])
+    if g == 0 or c % g:
+        return False
+    e = c // g
+    return e % h == 0 or all(e * sum(map(mul, row, w[:k])) % h == 0
+                             for row in adj)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -305,16 +387,17 @@ def _kernel_frame(S: GramMatrix, prior: tuple[tuple[int, ...], ...]
     divisors = tuple(d for d in snf.divisors if d != 0)
     rank = len(divisors)
     V = tuple(row[:rank] for row in snf.V.entries)
+    echelon = _prefix_echelon(prior, n)
     if rank == n:
         return _KernelFrame(snf.U.entries, divisors, V,
-                            None, None, None, None, None)
+                            None, None, None, None, None, echelon)
     K = IntMatrix([row[rank:] for row in snf.V.entries])
     Gred, U, d, lam = _reduced(gram_of_columns(S, K))
     B = K @ U  # the Gram of B's columns is Gred
     BtS = tuple(tuple(sum(map(mul, col, row)) for row in S.entries)
                 for col in B.columns())
     return _KernelFrame(snf.U.entries, divisors, V, B.entries, BtS,
-                        d, lam, adjugate(Gred)[0])
+                        d, lam, adjugate(Gred)[0], echelon)
 
 
 def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
@@ -356,12 +439,20 @@ def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
 
 
 def _column_search(S: GramMatrix, T: GramMatrix,
-                   fixed: Sequence[tuple[int, ...]] = ()) -> Iterator[IntMatrix]:
+                   fixed: Sequence[tuple[int, ...]] = (),
+                   c: int | None = None) -> Iterator[IntMatrix]:
     """Every X with X^t S X = T whose first columns are `fixed`, by
     backtracking over columns.  With nothing fixed, X is found up to the
-    global sign: its first column has its first nonzero entry positive."""
+    global sign: its first column has its first nonzero entry positive.
+
+    With c given, only X whose imprimitivity bound divides c: a column is
+    admitted only while the exponent of sat(L)/L for the columns L so far
+    divides c (the fixed columns are taken as given).  The prune is exact,
+    as sat(L')/L' embeds in sat(L)/L for a prefix L' of L, so a prefix
+    that fails has no admissible completion."""
     m = T.n
     chosen = list(fixed)
+    start = _prefix_echelon((), S.n)
 
     def extend(k: int) -> Iterator[IntMatrix]:
         if k == m:
@@ -369,10 +460,14 @@ def _column_search(S: GramMatrix, T: GramMatrix,
             return
         if k == 0:
             candidates = _vectors_of_norm_iter(S, T.entries[0][0])
+            echelon = start
         else:
             candidates = _constrained_candidates(
                 S, chosen, T.entries[k][:k], T.entries[k][k])
+            echelon = _kernel_frame(S, tuple(chosen)).echelon
         for v in candidates:
+            if c is not None and not _admits(echelon, v, c):
+                continue
             chosen.append(v)
             yield from extend(k + 1)
             chosen.pop()
@@ -389,21 +484,23 @@ def check_imprimitivity_bound(c: int) -> None:
 
 def find_representations(S: GramMatrix, T: GramMatrix, c: int = 1,
                          limit: int | None = None) -> list[Embedding]:
-    """All (or up to limit) X with X^t S X = T and imprimitivity bound
-    dividing c, up to the global sign symmetry."""
+    """All (or up to limit >= 1) X with X^t S X = T and imprimitivity bound
+    dividing c, up to the global sign symmetry.  The column search admits
+    only such X, so an Embedding is built for each X returned alone."""
     check_imprimitivity_bound(c)
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be a positive integer")
     if not is_positive_definite(S) or not is_positive_definite(T):
         raise ValueError("both forms must be positive definite")
     if T.n > S.n:
         raise ValueError("target rank exceeds ambient rank")
     out: list[Embedding] = []
-    # the divisor filter sits outside the column search, so ask for
-    # matrices until enough filtered embeddings have been collected
-    for X in _column_search(S, T):
+    for X in _column_search(S, T, c=c):
         emb = Embedding.build(S, T, X)
-        if c % emb.imprimitivity_bound == 0:
-            out.append(emb)
-        if limit is not None and len(out) >= limit:
+        if c % emb.imprimitivity_bound:
+            raise AssertionError("column search admitted an X beyond the bound")
+        out.append(emb)
+        if len(out) == limit:
             break
     return out
 

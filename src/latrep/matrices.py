@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -18,23 +19,19 @@ from typing import Sequence
 CACHE_SIZE = 4096
 
 
-def _int_row(row) -> tuple[int, ...]:
-    """The row as a tuple of ints; ints pass through, any other entry must
-    equal its int() or the row is rejected (no silent truncation)."""
-    out = tuple(row)
-    if set(map(type, out)) <= {int}:
-        return out
-    ints = tuple(map(int, out))
-    if ints != out:
-        raise ValueError(f"matrix row {out!r} has a non-integer entry")
-    return ints
-
-
 def _freeze(rows) -> tuple[tuple[int, ...], ...]:
-    out = tuple(map(_int_row, rows))
-    if out and any(len(r) != len(out[0]) for r in out):
+    """The rows as tuples of ints, checked in one pass over the entries:
+    ints pass through, any other entry must equal its int() or the matrix
+    is rejected (no silent truncation), and ragged rows are rejected."""
+    out = tuple(map(tuple, rows))
+    if len(set(map(len, out))) > 1:
         raise ValueError("ragged matrix")
-    return out
+    if set(map(type, chain.from_iterable(out))) <= {int}:
+        return out
+    ints = tuple(tuple(map(int, row)) for row in out)
+    if ints != out:
+        raise ValueError(f"matrix {out!r} has a non-integer entry")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -64,30 +61,26 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        cols = [list(c) for c in columns]
+        cols = _freeze(columns)
         if not cols:
             raise ValueError("need at least one column")
-        n = len(cols[0])
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+        return cls(zip(*cols))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        return IntMatrix(zip(*self.entries))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        ot = other.entries
-        return IntMatrix([
-            [sum(self.entries[i][k] * ot[k][j] for k in range(self.cols))
-             for j in range(other.cols)]
-            for i in range(self.rows)])
+        cols = other.columns()
+        return IntMatrix([[sum(map(mul, row, col)) for col in cols]
+                          for row in self.entries])
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-x for x in row] for row in self.entries])
@@ -108,13 +101,10 @@ class GramMatrix:
 
     def __init__(self, entries):
         frozen = _freeze(entries)
-        n = len(frozen)
-        if any(len(r) != n for r in frozen):
+        if frozen and len(frozen[0]) != len(frozen):
             raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if frozen[i][j] != frozen[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if tuple(zip(*frozen)) != frozen:
+            raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "entries", frozen)
 
     @property
@@ -290,11 +280,13 @@ class SmithForm:
     V: IntMatrix
 
 
-def smith_normal_form(X: IntMatrix) -> SmithForm:
-    r, c = X.rows, X.cols
-    a = [list(row) for row in X.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+def _smith_eliminate(a: list[list[int]], u: list[list[int]],
+                     v: list[list[int]]) -> tuple[int, ...]:
+    """Reduce a (r x c, in place) to Smith form and return its r or c
+    diagonal entries; every row operation is also applied to the r rows of
+    u, every column operation to the columns of the rows of v.  With
+    r empty rows for u and no rows for v the transforms cost nothing."""
+    r, c = len(a), len(a[0]) if a else 0
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -375,14 +367,23 @@ def smith_normal_form(X: IntMatrix) -> SmithForm:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
+    return tuple(a[i][i] for i in range(min(r, c)))
 
-    divisors = tuple(a[i][i] for i in range(min(r, c)))
+
+def smith_normal_form(X: IntMatrix) -> SmithForm:
+    r, c = X.rows, X.cols
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    divisors = _smith_eliminate([list(row) for row in X.entries], u, v)
     return SmithForm(divisors, IntMatrix(u), IntMatrix(v))
 
 
 def elementary_divisors(X: IntMatrix) -> tuple[int, ...]:
-    """Nonzero Smith divisors of X."""
-    return tuple(d for d in smith_normal_form(X).divisors if d != 0)
+    """Nonzero Smith divisors of X, by the elimination of
+    smith_normal_form without its transforms."""
+    divisors = _smith_eliminate([list(row) for row in X.entries],
+                                [[] for _ in range(X.rows)], [])
+    return tuple(d for d in divisors if d != 0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ def _squares_mod(m: int) -> frozenset:
 
 def hilbert_oracle(a: int, b: int, p: int, k: int | None = None) -> bool:
     """Solvability of z^2 = a x^2 + b y^2 with a nontrivial p-adic solution,
-    by exhaustive search mod p^k.  By default k is comfortably above the
-    valuations of a and b; `hilbert_class_oracle` passes the smaller k its
-    Hensel argument needs.
+    by exhaustive search mod p^k.  By default even powers of p are first
+    removed from a and b, which keeps their square classes and so the
+    answer, and k is comfortably above the valuations left (at most 1);
+    `hilbert_class_oracle` passes the smaller k its Hensel argument needs.
 
     A Z_p solution scaled primitive has x or y a unit: if both were
     divisible by p then z would be too, contradicting primitivity after
@@ -38,6 +39,10 @@ def hilbert_oracle(a: int, b: int, p: int, k: int | None = None) -> bool:
         return v
 
     if k is None:
+        while a % (p * p) == 0:
+            a //= p * p
+        while b % (p * p) == 0:
+            b //= p * p
         vmax = max(vp(abs(a)), vp(abs(b)))
         k = (2 * vmax + 7) if p == 2 else (2 * vmax + 3)
     m = p ** k
@@ -598,3 +603,20 @@ def reference_lll(entries, delta):
             k = max(k - 1, 1)
     U = [[basis[j][i] for j in range(n)] for i in range(n)]
     return _gram_of_basis(entries, basis), U
+
+
+def filtered_representations_oracle(S, T, c, limit=None):
+    """The filter-after-build reference for `find_representations`: every X
+    of the unfiltered column search, an Embedding built for each, kept
+    when its imprimitivity bound divides c.  It shares the column search
+    with the package on purpose, to check the divisor bound inside it."""
+    from latrep.enumeration import Embedding, _column_search
+
+    out = []
+    for X in _column_search(S, T):
+        emb = Embedding.build(S, T, X)
+        if c % emb.imprimitivity_bound == 0:
+            out.append(emb)
+            if limit is not None and len(out) >= limit:
+                break
+    return out

@@ -5,11 +5,12 @@ from operator import mul
 import pytest
 
 from oracles import (box_minimum, box_vectors, box_vectors_of_norm,
-                     fraction_gram_schmidt, random_pos_def_entries,
-                     reference_lll)
+                     filtered_representations_oracle, fraction_gram_schmidt,
+                     random_pos_def_entries, reference_lll)
 
-from latrep.enumeration import (Embedding, _constrained_candidates,
-                                _kernel_frame, extend_representation,
+from latrep.enumeration import (Embedding, _column_search,
+                                _constrained_candidates, _kernel_frame,
+                                extend_representation,
                                 find_representations,
                                 lattice_minimum, lll_reduce, short_vectors,
                                 superlattices_of_prime_index, vectors_of_norm)
@@ -293,6 +294,81 @@ def test_find_representations_counts():
     embs2 = find_representations(S3, GramMatrix.diagonal([4]), 2)
     assert len(embs2) == 3
     assert all(e.imprimitivity_bound == 2 for e in embs2)
+
+
+def test_find_representations_pinned_counts():
+    """I4 has r_4(4) = 24 vectors of norm 4, r_4*(4) = 16 of them
+    primitive, and 144 ordered orthogonal pairs of norm 2, 96 of them
+    spanning a primitive sublattice; halved for the global sign."""
+    S = GramMatrix.identity(4)
+    for T, counts in ((GramMatrix.diagonal([4]), {1: 8, 2: 12}),
+                      (GramMatrix.diagonal([2, 2]), {1: 48, 2: 72})):
+        for c, count in counts.items():
+            assert len(find_representations(S, T, c)) == count
+            assert len(find_representations(S, T, c, limit=1000)) == count
+
+
+def test_find_representations_rejects_limit_below_one():
+    S = GramMatrix.identity(4)
+    T = GramMatrix.diagonal([4])
+    for limit in (0, -1):
+        with pytest.raises(ValueError):
+            find_representations(S, T, 1, limit=limit)
+    assert len(find_representations(S, T, 1, limit=1)) == 1
+
+
+def _divisor_cases(draw, count):
+    """Seeded (S, T, c) with T = X^t S X of rank 1-3, X with columns
+    scaled by 1-3 so that imprimitive representations occur."""
+    cases = []
+    while len(cases) < count:
+        m = 1 + len(cases) % 3
+        n = draw.randint(m + 1, 4)
+        S = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
+        X = [[draw.randint(-1, 1) for _ in range(m)] for _ in range(n)]
+        for j in range(m):
+            f = draw.choice((1, 1, 2, 3))
+            for row in X:
+                row[j] *= f
+        T = gram_of_columns(S, IntMatrix(X))
+        if is_positive_definite(T) and max(map(max, T.entries)) <= 24:
+            cases.append((S, T, draw.choice((1, 2, 3, 4, 6, 12))))
+    return cases
+
+
+def test_find_representations_matches_filter_after_build():
+    """The divisor bound inside the column search returns the embeddings
+    of the filter-after-build oracle, in the same order, with and without
+    a limit."""
+    draw = random.Random(1515)
+    pruned = 0
+    for S, T, c in _divisor_cases(draw, 60):
+        expect = filtered_representations_oracle(S, T, c)
+        got = find_representations(S, T, c)
+        assert got == expect, (S.entries, T.entries, c)
+        assert find_representations(S, T, c, limit=1) == \
+            filtered_representations_oracle(S, T, c, limit=1)
+        pruned += len(list(_column_search(S, T))) - len(got)
+        for emb in got:
+            assert c % emb.imprimitivity_bound == 0
+    assert pruned > 0
+    # every c on further draws, and on targets in I4 with representations
+    # of divisors (1, 4), (2, 2), (1, 6), (2, 6) and (1, 2, 4): prefixes of
+    # index above 1, and exponents below the product of the divisors
+    S4 = GramMatrix.identity(4)
+    pinned = [(S4, gram_of_columns(S4, IntMatrix(X)), None) for X in (
+        [[2, 1], [0, 2], [0, 0], [0, 0]], [[2, 0], [0, 2], [0, 0], [0, 0]],
+        [[2, 0], [0, 3], [0, 0], [0, 0]], [[2, 0], [0, 6], [0, 0], [0, 0]],
+        [[1, 0, 0], [0, 2, 0], [0, 0, 4], [0, 0, 0]])]
+    bounds = set()
+    for S, T, _ in _divisor_cases(random.Random(1516), 24) + pinned:
+        bounds.update(e.imprimitivity_bound
+                      for e in filtered_representations_oracle(S, T, 12))
+        for c in (1, 2, 3, 4, 6, 12):
+            assert find_representations(S, T, c) == \
+                filtered_representations_oracle(S, T, c), \
+                (S.entries, T.entries, c)
+    assert {2, 3, 4, 6} <= bounds
 
 
 def test_find_representations_respects_divisor_filter():

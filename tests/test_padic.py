@@ -150,6 +150,16 @@ def test_hilbert_matches_solvability_oracle():
         assert (hilbert_symbol(a, b, Place.finite(p)) == 1) == expect, (a, b, p)
 
 
+def test_hilbert_oracle_strips_even_powers():
+    """The default search precision is set after even powers of p are
+    removed: (7, -8)_2 = (7, -2)_2 = -1 searches mod 2^9, not mod 2^13."""
+    for a, b, p in ((7, -8, 2), (-8, 7, 2), (3, 32, 2), (-1, 32, 2),
+                    (2, 27, 3), (-3, 18, 3), (6, 75, 5), (-1, 48, 2)):
+        assert (hilbert_symbol(a, b, Place.finite(p)) == 1) == \
+            hilbert_oracle(a, b, p), (a, b, p)
+    assert hilbert_symbol(7, -8, Place.finite(2)) == -1
+
+
 def test_is_local_square():
     assert is_local_square(9, Place.finite(2))
     assert not is_local_square(2, Place.finite(2))

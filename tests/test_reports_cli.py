@@ -281,6 +281,19 @@ def test_cli_represent(capsys, tmp_path, i4):
     i2 = write_gram(tmp_path, "i2.json", GramMatrix.identity(2).entries)
     code, _ = run_cli(capsys, "represent", "--gram", i2, "--target", t)
     assert code == 1
+    # r4*(4)/2 primitive and r4(4)/2 in all of I4; a limit below 1 is an
+    # input error, not one representation
+    t4 = write_gram(tmp_path, "t4.json", [[4]])
+    for c, count in (("1", 8), ("2", 12)):
+        code, out = run_cli(capsys, "represent", "--gram", i4, "--target", t4,
+                            "-c", c, "--limit", "1000")
+        assert code == 0
+        assert json.loads(out)["count"] == count
+    for limit in ("0", "-1"):
+        code, out = run_cli(capsys, "represent", "--gram", i4, "--target", t4,
+                            "--limit", limit)
+        assert code == 2
+        assert out == ""
 
 
 def test_cli_genus(capsys, i4):
