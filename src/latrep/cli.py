@@ -151,7 +151,7 @@ def cmd_scan(args) -> int:
                          args.neighbor_prime, class_cap=args.cap,
                          max_rows=args.max_rows, start=args.start)
     sys.stdout.buffer.write(report_emit(result, args.format))
-    return EXIT_OK
+    return EXIT_UNDECIDED if result.undecided else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

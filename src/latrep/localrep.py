@@ -9,18 +9,26 @@ quadratic Hensel argument; exhaustion without an admissible witness
 refutes representability (a Z_p solution would reduce to one).  A search
 that runs out of its node budget is "undecided", never a boolean.
 
+The search is one depth-first walk over the columns of X and, within a
+column, over its p-adic digits; each candidate costs one node of the budget
+and is re-checked exactly.  Past the first digit the next one solves an
+affine system over F_p; one equation, all a rank-1 target has, is solved
+through its first unit coefficient.
+
 The imprimitivity bound needs only the p-valuations of the Smith divisors
-of a candidate X, and those are determined by X mod p^k up to the cap k:
-they are the Smith form over the local ring Z/p^k.  The search reads them
-by elimination over Z/p^k with a pivot of minimal valuation, at k =
-ord_p(c) + 1 to prune column prefixes and at k = N for a full witness, so
-no integer Smith normal form is computed on this path.
+of X.  Those up to ord_p(c) are fixed by X mod p^k, k = ord_p(c) + 1 (the
+Smith form over Z/p^k), where the walk reads them for every column prefix:
+for one column as the least valuation of its entries, otherwise by
+elimination with a pivot of least valuation.  The last column's prune thus
+gives the witness's valuations, and no integer Smith normal form is
+computed on this path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from operator import mul
 
 from .enumeration import (Embedding, check_imprimitivity_bound,
@@ -77,24 +85,23 @@ def _smith_valuations(columns, p: int, k: int) -> tuple[int, ...]:
     """p-valuations of the Smith divisors of the matrix with these columns,
     capped at k; a zero divisor reads as k.
 
-    Elimination over Z/p^k: the entry of least valuation v divides every
-    other entry, so clearing its column by row operations and dropping its
-    row and column leaves a block with the remaining Smith valuations, all
-    >= v.  The result is therefore nondecreasing, like the divisors."""
+    One column has one divisor, its content: the least valuation of its
+    entries.  Otherwise elimination over Z/p^k: the entry of least
+    valuation v divides every other entry, so clearing its column by row
+    operations and dropping its row and column leaves a block with the
+    remaining Smith valuations, all >= v.  The result is therefore
+    nondecreasing, like the divisors."""
     pk = p ** k
+    if len(columns) == 1:
+        return (ord_p(gcd(pk, *columns[0]), p),)
     rows = [[x % pk for x in col] for col in columns]  # X^t, same divisors
     vals = []
     while rows:
         best, where = k, None
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
-                if x:
-                    v = 0
-                    while x % p == 0:
-                        x //= p
-                        v += 1
-                    if v < best:
-                        best, where = v, (i, j)
+                if x and (v := ord_p(x, p)) < best:
+                    best, where = v, (i, j)
         if where is None:
             break
         vals.append(best)
@@ -110,9 +117,54 @@ def _smith_valuations(columns, p: int, k: int) -> tuple[int, ...]:
     return tuple(vals) + (k,) * (min(len(columns), len(columns[0])) - len(vals))
 
 
+def _affine_solutions(eqs, p: int, n: int):
+    """All digit vectors d in F_p^n with row . d = b for every (row, b) in
+    eqs, rows reduced mod p: Gauss-Jordan pivots, the free digits in
+    product order.  One equation is solved through its first unit
+    coefficient, which is the pivot Gauss-Jordan would pick; a zero row
+    takes the general path."""
+    if len(eqs) == 1:
+        row, b = eqs[0]
+        for piv, a in enumerate(row):
+            if a:
+                inv = pow(a, -1, p)
+                coeffs = row[:piv] + row[piv + 1:]
+                for free in product(range(p), repeat=n - 1):
+                    d = list(free)
+                    d.insert(piv, (b - sum(map(mul, coeffs, free))) * inv % p)
+                    yield d
+                return
+    a = [list(r) + [b % p] for r, b in eqs]
+    piv_cols = []
+    for col in range(n):
+        rank = len(piv_cols)
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [(v * inv) % p for v in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
+        piv_cols.append(col)
+    if any(r[n] for r in a[len(piv_cols):]):
+        return
+    free = [j for j in range(n) if j not in piv_cols]
+    for vals in product(range(p), repeat=len(free)):
+        d = [0] * n
+        for j, v in zip(free, vals):
+            d[j] = v
+        for r, j in zip(a, piv_cols):
+            d[j] = (r[n] - sum(r[f] * d[f] for f in free)) % p
+        yield d
+
+
 def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
                    node_budget: int):
-    """Enumerate X mod p^N with X^t S X = T mod p^N column by column.
+    """Find X mod p^N with X^t S X = T mod p^N in one depth-first walk,
+    column by column and p-adic digit by digit.
 
     Returns (witness, witness_vals, budget_exceeded): the first X whose
     elementary divisors pass the valuation bound of c, or None.
@@ -121,138 +173,78 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
     n, m = S.n, T.n
     pN = p ** N
     ordc = ord_p(c, p) if c % p == 0 else 0
-    budget = [node_budget]
-    srows = S.entries
+    srows, trows = S.entries, T.entries
+    cols, images = [], []  # the finished columns and their images S x
+    budget = node_budget
+    vals = ()
 
-    def srow(x):
-        return [sum(map(mul, row, x)) for row in srows]
-
-    def divisor_prune(prefix, y: list[int]) -> bool:
-        """True when the prefix columns can still extend to a witness whose
-        elementary divisors all have valuation <= ordc.  Decidable from the
-        entries mod p^(ordc+1), since divisor valuations <= ordc are
-        determined by the minors at that precision; divisors of a column
-        subset divide those of the full matrix."""
-        cols = [x for x, _ in prefix] + [y]
-        return all(v <= ordc for v in _smith_valuations(cols, p, ordc + 1))
-
-    def affine_solutions(rows, rhs):
-        """All d in F_p^n with rows . d = rhs, as digit tuples."""
-        k = len(rows)
-        a = [list(r) + [b % p] for r, b in zip(rows, rhs)]
-        piv_cols = []
-        rank = 0
-        for col in range(n):
-            piv = next((i for i in range(rank, k) if a[i][col] % p), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            inv = pow(a[rank][col], -1, p)
-            a[rank] = [(v * inv) % p for v in a[rank]]
-            for i in range(k):
-                if i != rank and a[i][col] % p:
-                    f = a[i][col]
-                    a[i] = [(v - f * w) % p for v, w in zip(a[i], a[rank])]
-            piv_cols.append(col)
-            rank += 1
-        if any(a[i][n] % p for i in range(rank, k)):
-            return
-        free = [c for c in range(n) if c not in piv_cols]
-        for vals in product(range(p), repeat=len(free)):
-            d = [0] * n
-            for c, v in zip(free, vals):
-                d[c] = v
-            for r, c in enumerate(piv_cols):
-                d[c] = (a[r][n] - sum(a[r][fc] * d[fc] for fc in free)) % p
-            yield tuple(d)
-
-    def column_solutions(prefix, k: int):
-        """All (x, S x) with x mod p^N, Q(x) = T_kk and the prefix inner
-        products mod p^N."""
-        tkk = T.entries[k][k]
-        lins = [(sx, T.entries[j][k]) for j, (_, sx) in enumerate(prefix)]
-        prefix_rows = [[v % p for v in sx] for sx, _ in lins]
-
-        def candidate_digits(level, x, sx, step, qmod):
-            """Digit vectors at this level; for level >= 1 the constraints
-            are affine-linear over F_p, so only the solution coset is
-            enumerated (a superset of the valid digits; each candidate is
-            re-checked exactly below)."""
-            if level == 0:
-                yield from product(range(p), repeat=n)
-                return
-            rows = prefix_rows[:]
-            rhs = [-((sum(map(mul, scol, x)) - target) // step)
-                   for scol, target in lins]
+    def walk(k: int, level: int, x: list[int], sx: list[int]) -> bool:
+        """Extend column k, fixed mod p^level, and the columns after it to
+        a witness; True as soon as one is found."""
+        nonlocal budget, vals
+        if level == N:
+            cols.append(x)
+            images.append(sx)
+            if k + 1 == m or walk(k + 1, 0, [0] * n, [0] * n):
+                return True
+            cols.pop()
+            images.pop()
+            return False
+        tkk = trows[k][k]
+        lins = list(zip(images, trows[k]))  # (S x_j, T_jk) for j < k
+        step = p ** level
+        mod = step * p
+        # any completion of y to a mod-p^N witness changes Q(y) by a
+        # multiple of 2 p^{level+1}, so at p = 2 the value is pinned one
+        # level deeper than the entries
+        qmod = min(mod * 2, pN) if p == 2 else mod
+        if level == 0:
+            digits = product(range(p), repeat=n)
+        else:
+            # for level >= 1 the constraints are affine-linear over F_p, so
+            # only the solution coset is enumerated (a superset of the valid
+            # digits; each candidate is re-checked exactly below)
+            eqs = [([v % p for v in sy], -((sum(map(mul, sy, x)) - t) // step))
+                   for sy, t in lins]
             # quadratic constraint: Q(x + step d) = Q(x) + 2 step (Sx . d)
             # + step^2 Q(d); at p = 2 the d_i^2 = d_i identity keeps the
             # step = 2 case linear as well
             rq = sum(map(mul, x, sx)) - tkk
             if p != 2:
-                rows.append([(2 * v) % p for v in sx])
-                rhs.append(-(rq // step))
-            elif 2 * step < qmod or qmod == pN and 4 * step <= pN:
+                eqs.append(([2 * v % p for v in sx], -(rq // step)))
+            elif 2 * step < pN:  # at the last level any digit keeps Q
                 coeff = [v % 2 for v in sx]
                 if step == 2:
                     coeff = [(v + srows[i][i]) % 2 for i, v in enumerate(coeff)]
-                rows.append(coeff)
-                rhs.append(-(rq // (2 * step)))
-            yield from affine_solutions(rows, rhs)
-
-        def rec(level: int, x: list[int], sx: list[int]):
-            if budget[0] <= 0:
-                return
-            if level == N:
-                yield tuple(x), sx
-                return
-            step = p ** level
-            mod = step * p
-            # any completion of y to a mod-p^N witness changes Q(y) by a
-            # multiple of 2 p^{level+1}, so at p = 2 the value is pinned one
-            # level deeper than the entries
-            qmod = min(mod * 2, pN) if p == 2 else mod
-            for digits in candidate_digits(level, x, sx, step, qmod):
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    return
-                y = [x[i] + digits[i] * step for i in range(n)]
-                if any((sum(map(mul, scol, y)) - target) % mod
-                       for scol, target in lins):
+                eqs.append((coeff, -(rq // (2 * step))))
+            digits = _affine_solutions(eqs, p, n)
+        for d in digits:
+            budget -= 1
+            if budget <= 0:
+                return False
+            y = [a + step * b for a, b in zip(x, d)]
+            if any((sum(map(mul, sy, y)) - t) % mod for sy, t in lins):
+                continue
+            sy = [sum(map(mul, row, y)) for row in srows]
+            if (sum(map(mul, y, sy)) - tkk) % qmod:
+                continue
+            if level == ordc:
+                # divisor valuations <= ordc are determined mod p^(ordc+1),
+                # and those of a column subset divide those of the whole
+                # matrix; at the last column these are the witness's
+                v = _smith_valuations(cols + [y], p, ordc + 1)
+                if max(v) > ordc:
                     continue
-                sy = srow(y)
-                if (sum(map(mul, y, sy)) - tkk) % qmod:
-                    continue
-                if level == ordc and not divisor_prune(prefix, y):
-                    continue
-                yield from rec(level + 1, y, sy)
-
-        yield from rec(0, [0] * n, [0] * n)
-
-    witness = None
-    witness_vals = ()
-
-    def full_check(chosen) -> bool:
-        nonlocal witness, witness_vals
-        cols = [x for x, _ in chosen]
-        vals = _smith_valuations(cols, p, N)
-        if any(v > ordc for v in vals):
-            return False
-        witness = IntMatrix.from_columns(cols)
-        witness_vals = vals
-        return True
-
-    def columns(k: int, chosen) -> bool:
-        if k == m:
-            return full_check(chosen)
-        for col in column_solutions(chosen, k):
-            if columns(k + 1, chosen + [col]):
+                vals = v
+            if walk(k, level + 1, y, sy):
                 return True
-            if budget[0] <= 0:
+            if budget <= 0:
                 return False
         return False
 
-    columns(0, [])
-    return witness, witness_vals, budget[0] <= 0
+    if walk(0, 0, [0] * n, [0] * n):
+        return IntMatrix(list(zip(*cols))), vals, False
+    return None, (), budget <= 0
 
 
 def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,

@@ -150,6 +150,7 @@ class ScanRow:
     classes_total: int | None
     classes_representing: int | None
     exception: bool
+    undecided: bool = False  # a local certificate ran out of its budget
 
     def as_record(self) -> dict:
         return {"target": list(self.target),
@@ -158,7 +159,8 @@ class ScanRow:
                 "local_ok": self.local_ok,
                 "classes_total": self.classes_total,
                 "classes_representing": self.classes_representing,
-                "exception": self.exception}
+                "exception": self.exception,
+                "undecided": self.undecided}
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,7 @@ class ScanResult:
     exceptions: tuple[tuple, ...]
     genus_mass_certified: bool  # the classes make up the genus mass
     resume_token: int | None = None
+    undecided: bool = False  # some row is undecided
 
     def to_dict(self) -> dict:
         return {
@@ -185,6 +188,7 @@ class ScanResult:
             "exceptions": [list(e) for e in self.exceptions],
             "genus_mass_certified": self.genus_mass_certified,
             "resume_token": self.resume_token,
+            "undecided": self.undecided,
         }
 
 
@@ -228,9 +232,12 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
         local_ok = (all(cert.status == REPRESENTABLE for cert in certs.values())
                     and _isotropy_at_q(invS, S, T, q)[0])
         if not local_ok:
+            undecided = any(cert.status == UNDECIDED
+                            for cert in certs.values())
             rows.append(ScanRow(target=diag, gram=T.entries, det=dT,
                                 mu=None, local_ok=False, classes_total=None,
-                                classes_representing=None, exception=False))
+                                classes_representing=None, exception=False,
+                                undecided=undecided))
             continue
         mu = lattice_minimum(T)
         # class 0 is S itself, which represents_locally_everywhere has
@@ -257,7 +264,8 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
                       neighbor_prime=neighbor_prime, rows=tuple(rows),
                       empirical_C=empirical, exceptions=tuple(exceptions),
                       genus_mass_certified=genus.mass_certified,
-                      resume_token=resume)
+                      resume_token=resume,
+                      undecided=any(r.undecided for r in rows))
 
 
 # ---------------------------------------------------------------------------

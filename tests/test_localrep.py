@@ -9,8 +9,9 @@ from latrep.localrep import (NOT_REPRESENTABLE, REPRESENTABLE, UNDECIDED,
                              _smith_valuations, auto_isotropy_shortcut,
                              complement_isotropic_at_q,
                              represents_locally_everywhere, represents_over_Zp)
-from latrep.matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
-                             is_positive_definite, smith_normal_form)
+from latrep.matrices import (GramMatrix, IntMatrix, det, elementary_divisors,
+                             gram_of_columns, is_positive_definite,
+                             smith_normal_form)
 from latrep.padic import Place, REAL, ord_p
 
 rng = random.Random(31337)
@@ -114,6 +115,15 @@ def test_smith_valuations_match_integer_smith_form():
     assert _smith_valuations([[0, 0, 0], [0, 0, 0]], 3, 4) == (4, 4)
     assert _smith_valuations([[8, 4], [0, 16]], 2, 3) == (2, 3)
 
+    # one column has one divisor, the gcd of its entries: a zero column,
+    # mixed valuations, and a least valuation at and beyond the cap k
+    for p, k, col, expect in [(3, 4, [0, 0, 0], 4), (2, 5, [8, -12, 0, 40], 2),
+                              (5, 3, [250, -125, 0], 3),
+                              (2, 2, [8, -16, 24], 2)]:
+        divisor, = smith_normal_form(IntMatrix.from_columns([col])).divisors
+        assert (min(ord_p(divisor, p), k) if divisor else k) == expect
+        assert _smith_valuations([col], p, k) == (expect,)
+
 
 def test_witness_mod_pN_is_a_solution():
     """The search matches every entry of X^t S X mod p^N at N = 2e + 1, so
@@ -138,15 +148,38 @@ def test_witness_mod_pN_is_a_solution():
                    for grow, trow in zip(G.entries, T.entries)
                    for g, t in zip(grow, trow))
         assert ord_p(det(G), p) == ord_p(det(T), p), (S_rows, T_rows, p, c)
+        # the valuations come from the last column's prune at precision
+        # ord_p(c) + 1; they must be those of the witness's own divisors
+        assert cert.divisor_valuations == tuple(
+            ord_p(d, p) for d in elementary_divisors(cert.witness))
     assert searched > 200
 
 
+@pytest.mark.parametrize("S, T, p, c, expect", [
+    (I3, [[16]], 2, 4, (2,)),
+    (I3, [[36]], 3, 9, (1,)),
+    (GramMatrix.diagonal([1, 1, 3]), [[9]], 3, 3, (1,)),
+    (I4, [[4, 2], [2, 4]], 2, 2, (0, 1)),
+])
+def test_witness_valuations_pinned(S, T, p, c, expect):
+    cert = represents_over_Zp(S, GramMatrix(T), p, c, try_global=False)
+    assert cert.method == "search" and cert.representable
+    assert cert.divisor_valuations == expect
+    assert tuple(ord_p(d, p)
+                 for d in elementary_divisors(cert.witness)) == expect
+
+
 def test_node_budget_gives_undecided():
-    # tiny budget forces an honest undecided, never a wrong boolean
-    cert = represents_over_Zp(I4, GramMatrix.diagonal([15]), 2, 1,
-                              node_budget=5, try_global=False)
-    assert cert.status == UNDECIDED
-    assert cert.method == "budget"
+    # tiny budget forces an honest undecided, never a wrong boolean.  One
+    # unit per candidate, taken before the candidate is checked: the
+    # witness of diag(15) in I4 at p = 2 is reached with 11 units
+    for budget in range(12):
+        cert = represents_over_Zp(I4, GramMatrix.diagonal([15]), 2, 1,
+                                  node_budget=budget, try_global=False)
+        if budget < 11:
+            assert cert.status == UNDECIDED and cert.method == "budget", budget
+        else:
+            assert cert.status == REPRESENTABLE and cert.method == "search"
 
 
 def test_equal_rank_decided_from_determinants():

@@ -197,6 +197,37 @@ def test_scan_rows_record_full_gram():
     assert json.loads(report_emit(result, "json"))["schema_version"] == 1
 
 
+def _starved_local_search(monkeypatch):
+    """Give every mod-p^N search a node budget of 1, so each local
+    certificate that the global search does not settle is undecided."""
+    import latrep.localrep
+    search = latrep.localrep.represents_over_Zp
+
+    def starved(S, T, p, c=1, node_budget=None, try_global=True):
+        return search(S, T, p, c, node_budget=1, try_global=try_global)
+
+    monkeypatch.setattr(latrep.localrep, "represents_over_Zp", starved)
+
+
+def test_scan_flags_undecided_rows(monkeypatch):
+    S = GramMatrix.identity(3)
+    result = scan_family(S, "rank1:8", q=3, j=1, c=1, neighbor_prime=3)
+    assert result.undecided is False
+    assert not any(row.undecided for row in result.rows)
+    _starved_local_search(monkeypatch)
+    result = scan_family(S, "rank1:8", q=3, j=1, c=1, neighbor_prime=3)
+    # t = 4, 7, 8 (t mod 8 in {0, 4, 7}) have no primitive representation
+    # by I3, so their local certificates reach the search; the other rows
+    # have global witnesses
+    flagged = [row.target for row in result.rows if row.undecided]
+    assert flagged == [(4,), (7,), (8,)]
+    assert all(not row.local_ok for row in result.rows if row.undecided)
+    data = result.to_dict()
+    assert data["undecided"] is True
+    assert [r["undecided"] for r in data["rows"]] == [
+        row.target in flagged for row in result.rows]
+
+
 def test_report_emit_unknown_format():
     result = scan_family(GramMatrix.identity(4), "rank1:1",
                          q=3, j=1, c=1, neighbor_prime=3)
@@ -342,6 +373,24 @@ def test_cli_scan_csv(capsys, i4):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "det"
     assert len(rows) == 9
+
+
+def test_cli_scan_undecided_exit(capsys, monkeypatch, tmp_path):
+    i3 = write_gram(tmp_path, "i3.json", GramMatrix.identity(3).entries)
+    argv = ("scan", "--gram", i3, "--family", "rank1:8", "-q", "3", "-j", "1",
+            "--neighbor-prime", "3", "--format", "csv")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    _starved_local_search(monkeypatch)
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["det", "mu", "local_ok", "classes_total",
+                       "classes_representing", "exception"]
+    assert len(rows) == 9
+    code, out = run_cli(capsys, *argv[:-2])
+    assert code == 3
+    assert json.loads(out)["undecided"] is True
 
 
 def test_cli_extend(capsys, tmp_path, i4):
