@@ -10,15 +10,12 @@ from .matrices import (GramMatrix, IntMatrix, SmithForm, column_hnf, det,
 from .padic import (Place, REAL, SpaceInvariants, JordanComponent,
                     JordanSplitting, hasse_invariant, hilbert_symbol,
                     is_isotropic, is_local_square, jordan_decomposition,
-                    legendre, ord_p, space_invariants, space_represents,
-                    squarefree_class, unit_part)
+                    legendre, ord_p, space_invariants, squarefree_class)
 from .enumeration import (Embedding, ShortVectorReport, extend_representation,
                           find_representations, lattice_minimum, lll_reduce,
-                          search_primitive_superlattice, short_vectors,
                           vectors_of_norm)
 from .localrep import (LocalRepCertificate, NOT_REPRESENTABLE, REPRESENTABLE,
                        UNDECIDED, auto_isotropy_shortcut,
-                       complement_isotropic_at_q,
                        represents_locally_everywhere, represents_over_Zp)
 from .genus import (GenusRecord, automorphism_group_order, enumerate_genus,
                     is_isometric, p_neighbors, represented_by_all_classes)

@@ -16,8 +16,8 @@ only while the exponent of sat(L)/L for the columns L so far divides c,
 which costs one matrix-vector product, one gcd and, when the prefix is
 imprimitive, one congruence per prefix column.  Only admitted X reach
 `Embedding.build`.  Under the same policy each Gram is
-LLL-reduced once, with its Gram-Schmidt data, for its minimum, its short
-vectors and its vectors of one norm.
+LLL-reduced once, with its Gram-Schmidt data, for its minimum and its
+vectors of one norm.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, adjugate,
-                       column_hnf, det_int, elementary_divisors,
-                       gram_of_columns, integral_gram_schmidt,
-                       invert_unimodular, is_positive_definite, saturate,
-                       smith_normal_form, solve_integer_columns)
+                       elementary_divisors, gram_of_columns,
+                       integral_gram_schmidt, invert_unimodular,
+                       is_positive_definite, saturate, smith_normal_form,
+                       solve_integer_columns)
 
 DELTA = Fraction(3, 4)  # LLL parameter
 
@@ -169,27 +169,6 @@ class ShortVectorReport:
         return {"schema_version": 1, "bound": self.bound,
                 "minimum": self.minimum,
                 "vectors": [list(v) for v in self.vectors]}
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _short_vectors_raw(S: GramMatrix, bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Canonical-sign vectors with 0 < Q <= bound, with their values; cached."""
-    _, U, d, lam = _reduced(S)
-    out = []
-    for v, val in _enumerate(d, lam, bound):
-        w = tuple(sum(map(mul, row, v)) for row in U.entries)
-        if _canonical_sign(w):
-            out.append((w, val))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return tuple(out)
-
-
-def short_vectors(S: GramMatrix, bound: int) -> ShortVectorReport:
-    """All x (up to sign) with 0 < Q(x) <= bound."""
-    raw = _short_vectors_raw(S, bound)
-    vectors = tuple(v for v, _ in raw)
-    minimum = raw[0][1] if raw else None
-    return ShortVectorReport(bound=bound, vectors=vectors, minimum=minimum)
 
 
 def lattice_minimum(S: GramMatrix) -> int:
@@ -519,11 +498,6 @@ def extend_representation(S: GramMatrix, sigma: Embedding, T_M: GramMatrix,
         raise ValueError("glue shape mismatch")
     if gram_of_columns(T_M, glue).entries != sigma.source.entries:
         raise ValueError("glue Gram does not match sigma's source")
-    if m == r and abs(det_int(glue)) == 1:
-        # trivial extension: M = R up to basis change
-        ginv = invert_unimodular(glue)
-        return Embedding.build(S, T_M, sigma.X @ ginv)
-
     sat = saturate(glue)
     coords = solve_integer_columns(sat, glue)  # glue = sat @ coords
     # tau on the saturation basis is forced over Q: xb = sigma.X coords^-1,
@@ -546,90 +520,3 @@ def extend_representation(S: GramMatrix, sigma: Embedding, T_M: GramMatrix,
     if (tau.X @ glue).entries != sigma.X.entries:
         raise AssertionError("extension does not restrict to sigma")
     return tau
-
-
-# ---------------------------------------------------------------------------
-# superlattice search (desk-scale witness finder)
-
-def superlattices_of_prime_index(G: GramMatrix, d: int) -> list[tuple[GramMatrix, IntMatrix]]:
-    """Integral superlattices of index d (prime) of the lattice with Gram G.
-
-    Returns (new Gram, basis matrix of the old lattice inside the new one).
-    """
-    m = G.n
-    out = []
-    seen = set()
-    for x in _nonzero_tuples_mod(d, m):
-        gx = [sum(G.entries[i][j] * x[j] for j in range(m)) for i in range(m)]
-        if any(v % d for v in gx):
-            continue
-        qx = sum(x[i] * gx[i] for i in range(m))
-        if qx % (d * d):
-            continue
-        # basis of G + Z(x/d): HNF of the columns {d e_i, x} divided by d
-        gens = [[d if i == j else 0 for i in range(m)] for j in range(m)] + [list(x)]
-        H = column_hnf(IntMatrix.from_columns(gens))
-        # new basis columns are H/d in old coordinates; old basis inside new:
-        # solve (H/d) Y = I  =>  H Y = d I
-        inclusion = solve_integer_columns(
-            H, IntMatrix([[d if i == j else 0 for j in range(m)]
-                          for i in range(m)]))
-        if inclusion is None:
-            raise AssertionError("old lattice not contained in new one")
-        gram_rows = _rational_congruence(G, H, d)
-        key = tuple(map(tuple, gram_rows))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((GramMatrix(gram_rows), inclusion))
-    return out
-
-
-def _rational_congruence(G: GramMatrix, H: IntMatrix, d: int) -> list[list[int]]:
-    """(H/d)^t G (H/d) = H^t G H / d^2, which must be integral."""
-    rows = []
-    for row in gram_of_columns(G, H).entries:
-        qr = [divmod(v, d * d) for v in row]
-        if any(r for _, r in qr):
-            raise AssertionError("superlattice Gram not integral")
-        rows.append([q for q, _ in qr])
-    return rows
-
-
-def _nonzero_tuples_mod(d: int, m: int):
-    from itertools import product
-    for x in product(range(d), repeat=m):
-        if any(x):
-            yield x
-
-
-def search_primitive_superlattice(S_context: GramMatrix, M: GramMatrix,
-                                  C1: int, index_bound: int
-                                  ) -> tuple[GramMatrix, IntMatrix] | None:
-    """Desk-scale witness finder: a superlattice M' of M with index <= bound,
-    minimum >= C1 and primitive (c = 1) local representability by the
-    context lattice at every place.  Not a proof of anything; a witness."""
-    from .localrep import represents_locally_everywhere
-
-    if not is_positive_definite(M):
-        raise ValueError("M must be positive definite")
-
-    def acceptable(G: GramMatrix) -> bool:
-        if lattice_minimum(G) < C1:
-            return False
-        certs = represents_locally_everywhere(S_context, G, 1)
-        return all(cert.status == "representable" for cert in certs.values())
-
-    queue: list[tuple[GramMatrix, IntMatrix, int]] = [(M, IntMatrix.identity(M.n), 1)]
-    seen = {M.entries}
-    while queue:
-        G, incl, idx = queue.pop(0)
-        if acceptable(G):
-            return G, incl
-        for d in [p for p in (2, 3, 5, 7, 11, 13) if idx * p <= index_bound]:
-            for G2, step in superlattices_of_prime_index(G, d):
-                if G2.entries in seen:
-                    continue
-                seen.add(G2.entries)
-                queue.append((G2, step @ incl, idx * d))
-    return None

@@ -1,6 +1,5 @@
 """Lattice-level representability of T by S over Z_p with bounded
-imprimitivity, and the isotropy-of-complement condition at a
-distinguished prime.
+imprimitivity.
 
 The decision procedure is a certified search modulo p^N, N = 2e + 1 with
 e >= ord_p det T.  A witness of X^t S X = T mod p^N matches every entry,
@@ -33,10 +32,9 @@ from operator import mul
 
 from .enumeration import (Embedding, check_imprimitivity_bound,
                           find_representations)
-from .matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
-                       is_positive_definite)
-from .padic import (Place, REAL, complement_isotropic, is_local_square,
-                    legendre, ord_p, space_invariants, squarefree_class)
+from .matrices import GramMatrix, IntMatrix, det, is_positive_definite
+from .padic import (Place, REAL, is_local_square, legendre, ord_p,
+                    squarefree_class)
 from .primes import factorint, isprime
 
 REPRESENTABLE = "representable"
@@ -338,18 +336,6 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
                         place=v, status=NOT_REPRESENTABLE, method="unimodular")
                     break
     return out
-
-
-def complement_isotropic_at_q(S: GramMatrix, X: IntMatrix, q: int) -> bool:
-    """Is the orthogonal complement of the witness's column span isotropic
-    over Q_q?  By Witt cancellation the complement is fixed by S and
-    T = X^t S X, so it is decided from their invariants."""
-    if not isprime(q):
-        raise ValueError(f"{q} is not prime")
-    T = gram_of_columns(S, X)
-    if det(T) == 0:
-        raise ValueError("witness columns span a degenerate subspace")
-    return complement_isotropic(space_invariants(S), T, Place.finite(q))
 
 
 def auto_isotropy_shortcut(S: GramMatrix, T: GramMatrix, q: int) -> bool:

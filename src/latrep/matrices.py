@@ -56,10 +56,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         cols = _freeze(columns)
         if not cols:
@@ -81,9 +77,6 @@ class IntMatrix:
         cols = other.columns()
         return IntMatrix([[sum(map(mul, row, col)) for col in cols]
                           for row in self.entries])
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.entries])
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -121,22 +114,9 @@ class GramMatrix:
         n = len(vals)
         return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.entries[i][j]
-
-    def matrix(self) -> IntMatrix:
-        return IntMatrix(self.entries)
-
     def value(self, x: Sequence[int]) -> int:
         """Q(x) = x^t S x."""
         return inner_product(self, x, x)
-
-    def det(self) -> int:
-        return det(self)
-
-    def is_positive_definite(self) -> bool:
-        return is_positive_definite(self)
 
 
 def inner_product(S: GramMatrix, x: Sequence[int], y: Sequence[int]) -> int:

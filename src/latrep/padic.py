@@ -1,8 +1,8 @@
 """p-adic and real invariants of quadratic spaces and lattices.
 
 Places of Q, valuations, square classes, Hilbert symbols, Hasse
-invariants, Jordan decompositions, isotropy and space-level
-representability at every place.  F = Q throughout.
+invariants, Jordan decompositions and isotropy at every place.  F = Q
+throughout.
 
 Diagonalizations over Q and Jordan splittings over Z_p both come from one
 fraction-free symmetric elimination (`_eliminate`) on the integer Gram
@@ -54,7 +54,10 @@ REAL = Place.real()
 
 
 def ord_p(a, p: int) -> int:
-    """Additive p-adic valuation of a nonzero rational."""
+    """Additive p-adic valuation of a nonzero rational, for p >= 2 (for
+    p = 1 and p = -1 every valuation is infinite)."""
+    if p < 2:
+        raise ValueError(f"ord_p needs p >= 2, not {p}")
     if type(a) is int:
         num, den = a, 1
     else:
@@ -70,11 +73,6 @@ def ord_p(a, p: int) -> int:
         den //= p
         v -= 1
     return v
-
-
-def unit_part(a, p: int) -> Fraction:
-    """a / p^ord_p(a)."""
-    return Fraction(a) / Fraction(p) ** ord_p(a, p)
 
 
 def _split(a: int, p: int) -> tuple[int, int]:
@@ -386,7 +384,7 @@ def jordan_decomposition(S: GramMatrix, p: int) -> JordanSplitting:
 
 
 # ---------------------------------------------------------------------------
-# isotropy and space representability
+# isotropy
 
 def _complement(ambient: tuple[int, int, int], target: tuple[int, int, int],
                 v: Place) -> tuple[int, int, int]:
@@ -432,29 +430,3 @@ def complement_isotropic(ambient: SpaceInvariants, T: GramMatrix,
     its det and its Hasse symbol at v are computed."""
     target = (T.n, det(T), hasse_invariant(_diagonal(T), v))
     return _isotropic(*_complement(ambient.local(v), target, v), v)
-
-
-def _space_exists(rank: int, det_class: int, hasse: int, v: Place) -> bool:
-    """Is there a quadratic space over Q_v with these invariants?
-    (Finite v only; rank >= 0.)"""
-    if rank == 0:
-        return is_local_square(det_class, v) and hasse == 1
-    if rank == 1:
-        return hasse == 1
-    if rank == 2:
-        return not (is_local_square(-det_class, v)
-                    and hasse == -hilbert_symbol(-1, -1, v))
-    return True
-
-
-def space_represents(target: SpaceInvariants, ambient: SpaceInvariants,
-                     v: Place) -> bool:
-    """Does the target space embed isometrically in the ambient space over
-    the completion at v?  Witt-theory reduction: the embedding exists iff
-    the virtual complement has realizable invariants."""
-    if target.rank > ambient.rank:
-        raise ValueError("target rank exceeds ambient rank")
-    if v.is_real:
-        return (target.signature[0] <= ambient.signature[0]
-                and target.signature[1] <= ambient.signature[1])
-    return _space_exists(*_complement(ambient.local(v), target.local(v), v), v)

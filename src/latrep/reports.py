@@ -200,6 +200,8 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
     Targets failing condition (ii) or the local checks get a row with
     local_ok accordingly; targets passing both are tested against every
     class in the genus.  Deterministic for fixed inputs."""
+    if not isprime(q):
+        raise ValueError(f"{q} is not prime")
     check_imprimitivity_bound(c)
     if isinstance(family, str):
         family_desc, targets = parse_family(family)

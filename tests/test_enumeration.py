@@ -12,12 +12,11 @@ from latrep.enumeration import (Embedding, _column_search,
                                 _constrained_candidates, _kernel_frame,
                                 extend_representation,
                                 find_representations,
-                                lattice_minimum, lll_reduce, short_vectors,
-                                superlattices_of_prime_index, vectors_of_norm)
+                                lattice_minimum, lll_reduce, vectors_of_norm)
 from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
                              elementary_divisors, gram_of_columns,
-                             is_positive_definite, saturate,
-                             solve_integer_columns)
+                             invert_unimodular, is_positive_definite,
+                             saturate, solve_integer_columns)
 
 rng = random.Random(4242)
 
@@ -94,18 +93,6 @@ def test_vectors_of_norm_against_box_oracle():
         for t in rng.sample(range(1, 15), 4):
             got = sorted(vectors_of_norm(S, t).vectors)
             assert got == box_vectors_of_norm(S.entries, t), (S.entries, t)
-
-
-def test_short_vectors_consistency():
-    S = GramMatrix([[2, 1], [1, 2]])
-    rep = short_vectors(S, 6)
-    assert rep.minimum == 2
-    for v in rep.vectors:
-        assert 0 < S.value(list(v)) <= 6
-    # every exact-norm slice appears
-    for t in range(1, 7):
-        slice_ = {v for v in rep.vectors if S.value(list(v)) == t}
-        assert slice_ == set(vectors_of_norm(S, t).vectors)
 
 
 def test_minimum_invariant_under_basis_change():
@@ -434,27 +421,14 @@ def test_extend_representation_nontrivial_glue():
             assert gram_of_columns(S, t.X).entries == T_M.entries
 
 
-def test_superlattices_of_prime_index():
-    # 2 Z^2 (Gram 4 I2) has superlattices of index 2
-    G = GramMatrix.diagonal([4, 4])
-    ups = superlattices_of_prime_index(G, 2)
-    assert ups
-    for G2, incl in ups:
-        assert det(G2) * 4 == det(G)
-        assert gram_of_columns(G2, incl).entries == G.entries
-    # G = M^t G0 M with det M = d, so G0's lattice lies above G's at index d
-    draw = random.Random(909)
-    for d in (2, 3):
-        for _ in range(4):
-            n = draw.randint(2, 3)
-            G0 = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
-            M = IntMatrix([[(d if i == n - 1 else 1) if i == j else
-                            draw.randint(-2, 2) if i < j else 0
-                            for j in range(n)] for i in range(n)])
-            G = gram_of_columns(G0, M)
-            ups = superlattices_of_prime_index(G, d)
-            assert ups
-            for G2, incl in ups:
-                assert all(type(v) is int for row in G2.entries for v in row)
-                assert det(G2) * d * d == det(G)
-                assert gram_of_columns(G2, incl).entries == G.entries
+def test_extend_representation_unimodular_glue():
+    # R = M up to the basis change glue, so the saturation of glue is all
+    # of Z^2, nothing is left to complete and tau is sigma.X glue^-1
+    S = GramMatrix.identity(4)
+    T_M = GramMatrix([[2, 1], [1, 3]])
+    glue = IntMatrix([[1, 1], [0, 1]])
+    sigmas = find_representations(S, gram_of_columns(T_M, glue), 1)[:5]
+    assert len(sigmas) == 5
+    for sigma in sigmas:
+        tau = extend_representation(S, sigma, T_M, glue)
+        assert tau.X == sigma.X @ invert_unimodular(glue)

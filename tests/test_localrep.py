@@ -7,12 +7,12 @@ from oracles import (complement_isotropic_oracle, draw_local_instance,
 
 from latrep.localrep import (NOT_REPRESENTABLE, REPRESENTABLE, UNDECIDED,
                              _smith_valuations, auto_isotropy_shortcut,
-                             complement_isotropic_at_q,
                              represents_locally_everywhere, represents_over_Zp)
 from latrep.matrices import (GramMatrix, IntMatrix, det, elementary_divisors,
                              gram_of_columns, is_positive_definite,
                              smith_normal_form)
-from latrep.padic import Place, REAL, ord_p
+from latrep.padic import (Place, REAL, complement_isotropic, ord_p,
+                          space_invariants)
 
 rng = random.Random(31337)
 
@@ -155,6 +155,26 @@ def test_witness_mod_pN_is_a_solution():
     assert searched > 200
 
 
+def test_imprimitive_witness_valuations_in_draws():
+    """Draws with T scaled by p^2 and c = p^2 admit imprimitive witnesses,
+    so the prune passes nonzero valuations on; they must still be those
+    of the witness's own divisors."""
+    draw = random.Random(7013)
+    imprimitive = 0
+    for _ in range(100):
+        p, S_rows, T_rows, _, _ = draw_local_instance(draw, rank=1)
+        S, T = GramMatrix(S_rows), GramMatrix([[p * p * T_rows[0][0]]])
+        cert = represents_over_Zp(S, T, p, p * p, node_budget=200_000,
+                                  try_global=False)
+        assert cert.status != UNDECIDED, (S_rows, T_rows, p)
+        if cert.method != "search" or not cert.representable:
+            continue
+        assert cert.divisor_valuations == tuple(
+            ord_p(d, p) for d in elementary_divisors(cert.witness))
+        imprimitive += any(cert.divisor_valuations)
+    assert imprimitive > 0
+
+
 @pytest.mark.parametrize("S, T, p, c, expect", [
     (I3, [[16]], 2, 4, (2,)),
     (I3, [[36]], 3, 9, (1,)),
@@ -267,6 +287,13 @@ def test_randomized_against_exhaustive_oracle():
         assert expect != "unknown", (S.entries, T.entries, p, c)
         assert cert.representable == (expect == "representable"), \
             (S.entries, T.entries, p, c, cert.status, expect)
+
+
+def complement_isotropic_at_q(S, X, q):
+    """Is the orthogonal complement of X's column span in S isotropic over
+    Q_q?"""
+    return complement_isotropic(space_invariants(S), gram_of_columns(S, X),
+                                Place.finite(q))
 
 
 def test_complement_isotropic_at_q():

@@ -11,8 +11,7 @@ from latrep.padic import (Place, REAL, complement_isotropic,
                           hasse_invariant, hilbert_symbol,
                           invariants_of_diagonal, is_isotropic,
                           is_local_square, jordan_decomposition, legendre,
-                          ord_p, space_invariants, space_represents,
-                          squarefree_class, unit_part)
+                          ord_p, space_invariants, squarefree_class)
 
 from oracles import (fraction_diagonal_oracle, fraction_jordan_oracle,
                      hilbert_class_oracle, hilbert_oracle,
@@ -33,9 +32,11 @@ def places_for(*values):
 def test_ord_and_unit_part():
     assert ord_p(12, 2) == 2
     assert ord_p(Fraction(3, 8), 2) == -3
-    assert unit_part(12, 2) == 3
     with pytest.raises(ValueError):
         ord_p(0, 2)
+    for p in (1, 0, -1):  # no finite valuation: p = 1 would never return
+        with pytest.raises(ValueError):
+            ord_p(3, p)
 
 
 def test_squarefree_class():
@@ -336,35 +337,3 @@ def test_jordan_known_splittings():
     split3 = jordan_decomposition(GramMatrix.diagonal([3, 9, 1]), 3)
     assert [(c.scale, c.rank) for c in split3.components] == \
         [(0, 1), (1, 1), (2, 1)]
-
-
-def test_space_represents_diagonal_cases():
-    # x^2 + y^2 represents units like 2 at 7, but not 7 itself
-    # ((7, -1)_7 = -1), and not 7 at 2 either
-    amb = invariants_of_diagonal([1, 1])
-    t7 = invariants_of_diagonal([7])
-    assert space_represents(invariants_of_diagonal([2]), amb, Place.finite(7))
-    assert not space_represents(t7, amb, Place.finite(7))
-    assert not space_represents(t7, amb, Place.finite(2))
-    # rank-3 unimodular represents any unit target at an odd prime
-    amb3 = invariants_of_diagonal([1, 1, 1])
-    for t in (1, 2, 3, 5, 6):
-        assert space_represents(invariants_of_diagonal([t]), amb3,
-                                Place.finite(5))
-    # real place: signature comparison
-    assert not space_represents(invariants_of_diagonal([-1]), amb3, REAL)
-    assert space_represents(invariants_of_diagonal([1, 1]), amb3, REAL)
-
-
-def test_space_represents_equal_rank():
-    a = invariants_of_diagonal([1, 1])
-    b = invariants_of_diagonal([2, 2])
-    c = invariants_of_diagonal([1, 3])
-    for v in (Place.finite(2), Place.finite(3), Place.finite(11), REAL):
-        assert space_represents(a, b, v)  # same space up to squares
-        same = space_represents(c, a, v)
-        # det classes 1 vs 3: 3 is a non-square at 3, a square at 11
-        if v == Place.finite(3):
-            assert not same
-        if v == Place.finite(11):
-            assert same

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from latrep.enumeration import lattice_minimum
 from latrep.genus import _genus_symbol, automorphism_group_order, is_isometric
-from latrep.localrep import complement_isotropic_at_q
 from latrep.matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
                              det_int, gram_of_columns, invert_unimodular,
                              is_positive_definite)
-from latrep.padic import jordan_decomposition, space_invariants
+from latrep.padic import (Place, complement_isotropic, jordan_decomposition,
+                          space_invariants)
 from latrep.reports import check_theorem_hypotheses
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -73,7 +73,8 @@ def test_condition_i_unchanged_by_basis_changes(case):
     X2 = invert_unimodular(U) @ X @ V
     T, T2 = gram_of_columns(S, X), gram_of_columns(S2, X2)
     assert T2.entries == gram_of_columns(T, V).entries
-    assert complement_isotropic_at_q(S, X, q) == complement_isotropic_at_q(S2, X2, q)
+    assert (complement_isotropic(space_invariants(S), T, Place.finite(q))
+            == complement_isotropic(space_invariants(S2), T2, Place.finite(q)))
     r, r2 = (check_theorem_hypotheses(A, B, q, 1, 1, 0) for A, B in ((S, T), (S2, T2)))
     assert r.condition_i_ok == r2.condition_i_ok
     assert (r.condition_i["complement_isotropic_at_q"]

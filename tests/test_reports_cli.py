@@ -170,6 +170,16 @@ def test_scan_family_empty():
     assert result.empirical_C is None
 
 
+@pytest.mark.parametrize("q", [0, 1, 4])
+def test_scan_family_rejects_non_prime_q(q):
+    # unchecked, q = 1 loops in ord_p, q = 0 divides by zero, and on I8 the
+    # rank gap shortcut carries q = 4 through to a report
+    for n in (3, 8):
+        with pytest.raises(ValueError, match="not prime"):
+            scan_family(GramMatrix.identity(n), "rank1:3", q=q, j=1, c=1,
+                        neighbor_prime=3)
+
+
 def test_scan_csv_emission():
     result = scan_family(GramMatrix.identity(4), "rank1:6",
                          q=3, j=1, c=1, neighbor_prime=3)
@@ -373,6 +383,17 @@ def test_cli_scan_csv(capsys, i4):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "det"
     assert len(rows) == 9
+
+
+@pytest.mark.parametrize("q", ["0", "1", "4"])
+def test_cli_scan_rejects_non_prime_q(capsys, tmp_path, q):
+    i3 = write_gram(tmp_path, "i3.json", GramMatrix.identity(3).entries)
+    code = main(["scan", "--gram", i3, "--family", "rank1:3", "-q", q,
+                 "-j", "1", "--neighbor-prime", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{q} is not prime" in captured.err
 
 
 def test_cli_scan_undecided_exit(capsys, monkeypatch, tmp_path):
