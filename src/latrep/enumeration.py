@@ -156,7 +156,7 @@ def _canonical_sign(v: tuple[int, ...]) -> bool:
     return first > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShortVectorReport:
     """Vectors of bounded norm, stored once per +-pair (first nonzero
     coordinate positive)."""
@@ -227,7 +227,7 @@ def vectors_of_norm(S: GramMatrix, t: int) -> ShortVectorReport:
 # ---------------------------------------------------------------------------
 # embeddings
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """An exact representation X^t S X = T with its imprimitivity data."""
 
@@ -265,7 +265,7 @@ class Embedding:
 _Echelon = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _KernelFrame:
     """What the column search needs of the prior columns v_j alone.
 

@@ -299,7 +299,7 @@ def _neighbor_gram(S: GramMatrix, x: list[int], a: list[int], p: int
 # ---------------------------------------------------------------------------
 # genus enumeration
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenusRecord:
     seed: GramMatrix
     prime_used: int

@@ -9,10 +9,22 @@ refutes representability (a Z_p solution would reduce to one).  A search
 that runs out of its node budget is "undecided", never a boolean.
 
 The search is one depth-first walk over the columns of X and, within a
-column, over its p-adic digits; each candidate costs one node of the budget
-and is re-checked exactly.  Past the first digit the next one solves an
-affine system over F_p; one equation, all a rank-1 target has, is solved
-through its first unit coefficient.
+column, over its p-adic digits; each candidate costs one node of the
+budget, taken before it is checked.  The first digit runs over F_p^n in
+product order: for each prefix, Q and the inner products with the earlier
+columns are quadratic and linear in the last digit u, so each u costs a
+few scalar operations.  Past the first digit the next one solves an affine
+system over F_p, and each solution is re-checked exactly; one equation,
+all a rank-1 target has, is solved through its first unit coefficient.
+
+For a rank-1 target past the divisor prune (and past the second digit at
+p = 2) that equation keeps its pivot, the first unit entry i of S x, and
+the first candidate of every remaining level passes: the digits are
+forced.  They are found in one Newton lift, the root delta = 0 mod
+p^level of Q(x + delta e_i) = t mod p^N (at p = 2 of its half mod
+2^(N-1), since the walk's last digit is 0 there), which Hensel's lemma
+makes unique.  The lift charges the one node per level the walk would
+spend, so the witness and the least budget that decides are the walk's.
 
 The imprimitivity bound needs only the p-valuations of the Smith divisors
 of X.  Those up to ord_p(c) are fixed by X mod p^k, k = ord_p(c) + 1 (the
@@ -41,8 +53,11 @@ REPRESENTABLE = "representable"
 NOT_REPRESENTABLE = "not_representable"
 UNDECIDED = "undecided"
 
+# Default number of candidates one mod-p^N search may test.
+NODE_BUDGET = 2_000_000
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LocalRepCertificate:
     place: Place
     status: str
@@ -159,22 +174,81 @@ def _affine_solutions(eqs, p: int, n: int):
         yield d
 
 
-def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
+def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, ordc: int, N: int,
                    node_budget: int):
     """Find X mod p^N with X^t S X = T mod p^N in one depth-first walk,
     column by column and p-adic digit by digit.
 
     Returns (witness, witness_vals, budget_exceeded): the first X whose
-    elementary divisors pass the valuation bound of c, or None.
+    Smith divisors have p-valuations at most ordc, or None.
     Columns travel with their images S x, which every inner product reads.
     """
-    n, m = S.n, T.n
-    pN = p ** N
-    ordc = ord_p(c, p) if c % p == 0 else 0
     srows, trows = S.entries, T.entries
+    n, m = len(srows), len(trows)
+    pN = p ** N
     cols, images = [], []  # the finished columns and their images S x
     budget = node_budget
     vals = ()
+    # the level from which a rank-1 target's remaining digits are forced
+    # (see the module docstring); None where fewer than two would be
+    lift = max(ordc + 1, 2 if p == 2 else 1)
+    if m != 1 or lift > N - 2:
+        lift = None
+
+    def first_digits(lins, tkk, qmod):
+        """The level-0 candidates y, digit vectors in product order, that
+        pass the checks mod p and mod qmod, with their images S y; one node
+        each.  For a prefix w (last digit 0), Q(w + u e) and the inner
+        products are quadratic and linear in the last digit u, so each u
+        costs a few scalar operations."""
+        nonlocal budget
+        last = srows[-1]  # S e for the last unit vector e
+        sll = last[-1]
+        ends = [sy[-1] for sy, _ in lins]
+        for w in product(range(p), repeat=n - 1):
+            sw = [sum(map(mul, row, w)) for row in srows]
+            qw = sum(map(mul, w, sw)) - tkk
+            lw = [sum(map(mul, sy, w)) - t for sy, t in lins]
+            b = 2 * sw[-1]
+            for u in range(p):
+                budget -= 1
+                if budget <= 0:
+                    return
+                if (qw + (b + sll * u) * u) % qmod or any(
+                        (v + u * e) % p for v, e in zip(lw, ends)):
+                    continue
+                yield [*w, u], [a + u * s for a, s in zip(sw, last)]
+
+    def next_digits(x, sx, step, mod, lins, tkk, qmod):
+        """The candidates y = x + p^level d for the digit vectors d that
+        solve the affine system over F_p the constraints reduce to (a
+        superset of the valid digits, so each is re-checked exactly); one
+        node each."""
+        nonlocal budget
+        eqs = [([v % p for v in sy], -((sum(map(mul, sy, x)) - t) // step))
+               for sy, t in lins]
+        # quadratic constraint: Q(x + step d) = Q(x) + 2 step (Sx . d)
+        # + step^2 Q(d); at p = 2 the d_i^2 = d_i identity keeps the
+        # step = 2 case linear as well
+        rq = sum(map(mul, x, sx)) - tkk
+        if p != 2:
+            eqs.append(([2 * v % p for v in sx], -(rq // step)))
+        elif 2 * step < pN:  # at the last level any digit keeps Q
+            coeff = [v % 2 for v in sx]
+            if step == 2:
+                coeff = [(v + srows[i][i]) % 2 for i, v in enumerate(coeff)]
+            eqs.append((coeff, -(rq // (2 * step))))
+        for d in _affine_solutions(eqs, p, n):
+            budget -= 1
+            if budget <= 0:
+                return
+            y = [a + step * b for a, b in zip(x, d)]
+            if any((sum(map(mul, sy, y)) - t) % mod for sy, t in lins):
+                continue
+            sy = [sum(map(mul, row, y)) for row in srows]
+            if (sum(map(mul, y, sy)) - tkk) % qmod:
+                continue
+            yield y, sy
 
     def walk(k: int, level: int, x: list[int], sx: list[int]) -> bool:
         """Extend column k, fixed mod p^level, and the columns after it to
@@ -189,43 +263,33 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
             images.pop()
             return False
         tkk = trows[k][k]
-        lins = list(zip(images, trows[k]))  # (S x_j, T_jk) for j < k
-        step = p ** level
-        mod = step * p
+        if level == lift and budget > N - level:
+            i = next((i for i, v in enumerate(sx) if v % p), None)
+            if i is not None:
+                # the remaining digits are forced (see the module
+                # docstring): Newton's iteration for the root delta of
+                # Q(x + delta e_i) - t mod p^N, or of its half mod 2^(N-1)
+                budget -= N - level
+                half = 2 if p == 2 else 1
+                M = pN // half
+                a, b, sii = sum(map(mul, x, sx)) - tkk, 2 * sx[i], srows[i][i]
+                delta = 0
+                while f := (a + (b + sii * delta) * delta) // half % M:
+                    delta = (delta - f * pow((b + 2 * sii * delta) // half,
+                                             -1, M)) % M
+                x = list(x)
+                x[i] += delta
+                cols.append(x)
+                return True
         # any completion of y to a mod-p^N witness changes Q(y) by a
         # multiple of 2 p^{level+1}, so at p = 2 the value is pinned one
         # level deeper than the entries
+        step = p ** level
+        mod = step * p
         qmod = min(mod * 2, pN) if p == 2 else mod
-        if level == 0:
-            digits = product(range(p), repeat=n)
-        else:
-            # for level >= 1 the constraints are affine-linear over F_p, so
-            # only the solution coset is enumerated (a superset of the valid
-            # digits; each candidate is re-checked exactly below)
-            eqs = [([v % p for v in sy], -((sum(map(mul, sy, x)) - t) // step))
-                   for sy, t in lins]
-            # quadratic constraint: Q(x + step d) = Q(x) + 2 step (Sx . d)
-            # + step^2 Q(d); at p = 2 the d_i^2 = d_i identity keeps the
-            # step = 2 case linear as well
-            rq = sum(map(mul, x, sx)) - tkk
-            if p != 2:
-                eqs.append(([2 * v % p for v in sx], -(rq // step)))
-            elif 2 * step < pN:  # at the last level any digit keeps Q
-                coeff = [v % 2 for v in sx]
-                if step == 2:
-                    coeff = [(v + srows[i][i]) % 2 for i, v in enumerate(coeff)]
-                eqs.append((coeff, -(rq // (2 * step))))
-            digits = _affine_solutions(eqs, p, n)
-        for d in digits:
-            budget -= 1
-            if budget <= 0:
-                return False
-            y = [a + step * b for a, b in zip(x, d)]
-            if any((sum(map(mul, sy, y)) - t) % mod for sy, t in lins):
-                continue
-            sy = [sum(map(mul, row, y)) for row in srows]
-            if (sum(map(mul, y, sy)) - tkk) % qmod:
-                continue
+        lins = list(zip(images, trows[k]))  # (S x_j, T_jk) for j < k
+        for y, sy in (first_digits(lins, tkk, qmod) if level == 0 else
+                      next_digits(x, sx, step, mod, lins, tkk, qmod)):
             if level == ordc:
                 # divisor valuations <= ordc are determined mod p^(ordc+1),
                 # and those of a column subset divide those of the whole
@@ -246,7 +310,7 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, c: int, N: int,
 
 
 def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
-                       node_budget: int = 2_000_000,
+                       node_budget: int = NODE_BUDGET,
                        try_global: bool = True) -> LocalRepCertificate:
     """Decide existence of X over Z_p with X^t S X = T and all elementary
     divisors dividing c.  Equal ranks are refuted first when det(X)^2 det S
@@ -254,17 +318,19 @@ def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     check_imprimitivity_bound(c)
-    if T.n > S.n:
+    n, m = S.n, T.n
+    if m > n:
         raise ValueError("target rank exceeds ambient rank")
     dS, dT = det(S), det(T)
     if dS == 0 or dT == 0:
         raise ValueError("forms must be nonsingular")
     place = Place.finite(p)
     ordc = ord_p(c, p) if c % p == 0 else 0
+    vS, vT = ord_p(dS, p), ord_p(dT, p)
 
-    if T.n == S.n:
-        gap = ord_p(dT, p) - ord_p(dS, p)
-        if (gap % 2 or not 0 <= gap <= 2 * S.n * ordc
+    if m == n:
+        gap = vT - vS
+        if (gap % 2 or not 0 <= gap <= 2 * n * ordc
                 or not is_local_square(dS * dT, place)):  # dT/dS, up to squares
             return LocalRepCertificate(place=place, status=NOT_REPRESENTABLE,
                                        method="determinant")
@@ -274,10 +340,10 @@ def represents_over_Zp(S: GramMatrix, T: GramMatrix, p: int, c: int = 1,
         if embs:
             return _exact_certificate(place, embs[0], p)
 
-    e = (1 if p == 2 else 0) + ord_p(dS, p) + ord_p(dT, p) + 2 * ordc
-    margin = ord_p(dT, p) + 2 * T.n * ordc
+    e = (1 if p == 2 else 0) + vS + vT + 2 * ordc
+    margin = vT + 2 * m * ordc
     N = 2 * e + 1
-    witness, vals, exhausted_budget = _search_mod_pN(S, T, p, c, N,
+    witness, vals, exhausted_budget = _search_mod_pN(S, T, p, ordc, N,
                                                      node_budget)
     if witness is not None:
         return LocalRepCertificate(place=place, status=REPRESENTABLE,
@@ -296,10 +362,12 @@ def _relevant_primes(S: GramMatrix, T: GramMatrix, c: int) -> list[int]:
     return sorted(factorint(n).keys() | {2})
 
 
-def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
+def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1,
+                                  node_budget: int = NODE_BUDGET
                                   ) -> dict[Place, LocalRepCertificate]:
     """Certificates at the real place and at every finite place where the
-    answer is not forced by the unimodular-lattice criterion."""
+    answer is not forced by the unimodular-lattice criterion; each mod-p^N
+    search gets node_budget nodes."""
     check_imprimitivity_bound(c)
     if not is_positive_definite(S) or not is_positive_definite(T):
         raise ValueError("both forms must be positive definite")
@@ -318,8 +386,8 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
         if emb is not None:
             out[Place.finite(p)] = _exact_certificate(Place.finite(p), emb, p)
         else:
-            out[Place.finite(p)] = represents_over_Zp(S, T, p, c,
-                                                      try_global=False)
+            out[Place.finite(p)] = represents_over_Zp(
+                S, T, p, c, node_budget=node_budget, try_global=False)
 
     # outside the relevant set both lattices are unimodular at an odd prime
     # l; for rank gap >= 1 that forces representability, for equal ranks

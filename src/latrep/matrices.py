@@ -34,7 +34,7 @@ def _freeze(rows) -> tuple[tuple[int, ...], ...]:
     return ints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """A rows x cols matrix of exact integers."""
 
@@ -82,7 +82,7 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GramMatrix:
     """Symmetric integral Gram matrix; the form is Q(x) = x^t S x.
 
@@ -251,7 +251,7 @@ def is_positive_definite(S: GramMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmithForm:
     """U X V = diag(divisors) with U, V unimodular and d_i | d_{i+1}."""
 

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
-from .matrices import GramMatrix, det
+from .matrices import CACHE_SIZE, GramMatrix, det
 from .primes import factorint, isprime
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Place:
     """A prime p or the real place (p = 0)."""
 
@@ -36,7 +37,10 @@ class Place:
         return cls(0)
 
     @classmethod
+    @lru_cache(maxsize=CACHE_SIZE)
     def finite(cls, p: int) -> "Place":
+        """The place of the prime p, built (and its primality tested) once
+        per p."""
         p = int(p)
         if p == 0:
             raise ValueError("0 names the real place, not a prime")
@@ -162,7 +166,7 @@ def is_local_square(a, v: Place) -> bool:
     return legendre(u, v.p) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpaceInvariants:
     """Rank, determinant square class, Hasse symbols and real signature of a
     nonsingular quadratic space over Q."""
@@ -307,7 +311,7 @@ def _diagonal(S: GramMatrix) -> list[int]:
 # ---------------------------------------------------------------------------
 # Jordan decomposition
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JordanComponent:
     scale: int
     rank: int
@@ -315,7 +319,7 @@ class JordanComponent:
     even: bool | None = None  # p = 2 only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JordanSplitting:
     prime: Place
     components: tuple[JordanComponent, ...]

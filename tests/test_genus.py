@@ -10,8 +10,8 @@ from latrep.genus import (_automorphisms, _lift_isotropic, _neighbor_gram,
                           _projective_points, automorphism_group_order,
                           enumerate_genus, is_isometric, p_neighbors,
                           represented_by_all_classes)
-from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
-                             gram_of_columns, is_positive_definite)
+from latrep.matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
+                             is_positive_definite)
 
 rng = random.Random(2718)
 

@@ -202,6 +202,50 @@ def test_node_budget_gives_undecided():
             assert cert.status == REPRESENTABLE and cert.method == "search"
 
 
+A3 = GramMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+
+
+@pytest.mark.parametrize("S, T, p, c, columns, valuations, first_decided", [
+    # rank 1: past the prune the remaining digits come from one Newton lift
+    (I3, [[9]], 3, 1, [(175, 1, 1)], (0,), 19),
+    (I3, [[50]], 5, 1, [(0, 2536, 2)], (0,), 13),
+    (GramMatrix.diagonal([1, 2, 2]), [[5]], 2, 1, [(1, 1, 1)], (0,), 15),
+    (I3, [[12]], 2, 2, [(2, 2, 2)], (1,), 15),
+    # rank 2: the second column's level-0 scan has a linear constraint
+    (I4, [[3, 1], [1, 3]], 3, 1, [(0, 1, 1, 1), (0, 1, 1, 2)], (0, 0), 30),
+    (A3, [[2, 1], [1, 2]], 3, 1, [(0, 0, 1), (0, 1, 1)], (0, 0), 12),
+])
+def test_search_witness_and_budget_boundary_pinned(S, T, p, c, columns,
+                                                   valuations, first_decided):
+    """The witness and the least budget that decides, as the level-by-level
+    walk gave them: the lift charges one node per forced digit, and the
+    level-0 scan one per candidate, taken before its check."""
+    T = GramMatrix(T)
+    cert = represents_over_Zp(S, T, p, c, try_global=False)
+    assert cert.method == "search" and cert.representable
+    assert cert.witness.columns() == columns
+    assert cert.divisor_valuations == valuations
+    G = gram_of_columns(S, cert.witness)
+    assert all((g - t) % p ** cert.precision == 0
+               for grow, trow in zip(G.entries, T.entries)
+               for g, t in zip(grow, trow))
+    starved = represents_over_Zp(S, T, p, c, node_budget=first_decided - 1,
+                                 try_global=False)
+    assert starved.status == UNDECIDED and starved.method == "budget"
+    assert represents_over_Zp(S, T, p, c, node_budget=first_decided,
+                              try_global=False) == cert
+
+
+def test_node_budget_reaches_every_place():
+    """4 has no primitive representation by I3, so the certificate at 2
+    comes from the search, which a budget of 1 leaves undecided."""
+    T = GramMatrix.diagonal([4])
+    certs = represents_locally_everywhere(I3, T, 1, node_budget=1)
+    assert certs[Place.finite(2)].status == UNDECIDED
+    certs = represents_locally_everywhere(I3, T, 1)
+    assert certs[Place.finite(2)].status == NOT_REPRESENTABLE
+
+
 def test_equal_rank_decided_from_determinants():
     # det(X)^2 det S = det T, and 7 is no square at 7 or at 2; at 7 the
     # search alone ran out of its node budget

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from latrep.matrices import (GramMatrix, IntMatrix, adjugate, column_hnf, det,
+from latrep.matrices import (GramMatrix, IntMatrix, adjugate, column_hnf,
                              det_int, elementary_divisors, gram_of_columns,
                              inner_product, invert_unimodular,
                              is_positive_definite, parse_gram, saturate,
