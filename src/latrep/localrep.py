@@ -263,12 +263,17 @@ def _search_mod_pN(S: GramMatrix, T: GramMatrix, p: int, ordc: int, N: int,
             images.pop()
             return False
         tkk = trows[k][k]
-        if level == lift and budget > N - level:
+        if level == lift:
             i = next((i for i, v in enumerate(sx) if v % p), None)
             if i is not None:
                 # the remaining digits are forced (see the module
-                # docstring): Newton's iteration for the root delta of
+                # docstring), one node each: a budget that cannot pay for
+                # them runs out on the walk's path as it would level by
+                # level; otherwise Newton's iteration for the root delta of
                 # Q(x + delta e_i) - t mod p^N, or of its half mod 2^(N-1)
+                if budget <= N - level:
+                    budget = 0
+                    return False
                 budget -= N - level
                 half = 2 if p == 2 else 1
                 M = pN // half
@@ -362,12 +367,10 @@ def _relevant_primes(S: GramMatrix, T: GramMatrix, c: int) -> list[int]:
     return sorted(factorint(n).keys() | {2})
 
 
-def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1,
-                                  node_budget: int = NODE_BUDGET
+def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1
                                   ) -> dict[Place, LocalRepCertificate]:
     """Certificates at the real place and at every finite place where the
-    answer is not forced by the unimodular-lattice criterion; each mod-p^N
-    search gets node_budget nodes."""
+    answer is not forced by the unimodular-lattice criterion."""
     check_imprimitivity_bound(c)
     if not is_positive_definite(S) or not is_positive_definite(T):
         raise ValueError("both forms must be positive definite")
@@ -386,8 +389,8 @@ def represents_locally_everywhere(S: GramMatrix, T: GramMatrix, c: int = 1,
         if emb is not None:
             out[Place.finite(p)] = _exact_certificate(Place.finite(p), emb, p)
         else:
-            out[Place.finite(p)] = represents_over_Zp(
-                S, T, p, c, node_budget=node_budget, try_global=False)
+            out[Place.finite(p)] = represents_over_Zp(S, T, p, c,
+                                                      try_global=False)
 
     # outside the relevant set both lattices are unimodular at an odd prime
     # l; for rank gap >= 1 that forces representability, for equal ranks

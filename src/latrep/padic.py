@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 from typing import Sequence
 
-from .matrices import CACHE_SIZE, GramMatrix, det
+from .matrices import GramMatrix, det
 from .primes import factorint, isprime
 
 
@@ -37,10 +36,7 @@ class Place:
         return cls(0)
 
     @classmethod
-    @lru_cache(maxsize=CACHE_SIZE)
     def finite(cls, p: int) -> "Place":
-        """The place of the prime p, built (and its primality tested) once
-        per p."""
         p = int(p)
         if p == 0:
             raise ValueError("0 names the real place, not a prime")

@@ -29,8 +29,8 @@ from typing import Iterator
 from .enumeration import (Embedding, check_imprimitivity_bound,
                           find_representations, lattice_minimum)
 from .genus import enumerate_genus
-from .localrep import (NODE_BUDGET, REPRESENTABLE, UNDECIDED,
-                       auto_isotropy_shortcut, represents_locally_everywhere)
+from .localrep import (REPRESENTABLE, UNDECIDED, auto_isotropy_shortcut,
+                       represents_locally_everywhere)
 from .matrices import GramMatrix, det, is_positive_definite
 from .padic import (Place, SpaceInvariants, complement_isotropic, ord_p,
                     space_invariants)
@@ -76,10 +76,8 @@ def _isotropy_at_q(invS: SpaceInvariants, S: GramMatrix, T: GramMatrix,
 
 
 def check_theorem_hypotheses(S: GramMatrix, T: GramMatrix, q: int, j: int,
-                             c: int, C: int, node_budget: int = NODE_BUDGET
-                             ) -> HypothesisReport:
-    """Evaluate conditions (i)-(iii) and the global search for (S, T, q, j,
-    c, C); each mod-p^N search gets node_budget nodes."""
+                             c: int, C: int) -> HypothesisReport:
+    """Evaluate conditions (i)-(iii) and the global search for (S, T, q, j, c, C)."""
     if not isprime(q):
         raise ValueError(f"{q} is not prime")
     check_imprimitivity_bound(c)
@@ -87,7 +85,7 @@ def check_theorem_hypotheses(S: GramMatrix, T: GramMatrix, q: int, j: int,
         raise ValueError("S and T must be positive definite")
 
     rank_check = T.n <= S.n - 3
-    certs = represents_locally_everywhere(S, T, c, node_budget)
+    certs = represents_locally_everywhere(S, T, c)
     per_place = {str(p): cert.to_dict() for p, cert in sorted(certs.items())}
     all_rep = all(cert.status == REPRESENTABLE for cert in certs.values())
     undecided = any(cert.status == UNDECIDED for cert in certs.values())
@@ -196,15 +194,12 @@ class ScanResult:
 
 def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
                 neighbor_prime: int, class_cap: int = 64,
-                max_rows: int | None = None, start: int = 0,
-                node_budget: int = NODE_BUDGET) -> ScanResult:
+                max_rows: int | None = None, start: int = 0) -> ScanResult:
     """Run the full hypothesis pipeline over a family of targets.
 
     Targets failing condition (ii) or the local checks get a row with
     local_ok accordingly; targets passing both are tested against every
-    class in the genus.  Each mod-p^N search gets node_budget nodes, and a
-    row whose search runs out is flagged undecided.  Deterministic for
-    fixed inputs."""
+    class in the genus.  Deterministic for fixed inputs."""
     if not isprime(q):
         raise ValueError(f"{q} is not prime")
     check_imprimitivity_bound(c)
@@ -235,7 +230,7 @@ def scan_family(S: GramMatrix, family, q: int, j: int, c: int,
                                 mu=None, local_ok=False, classes_total=None,
                                 classes_representing=None, exception=False))
             continue
-        certs = represents_locally_everywhere(S, T, c, node_budget)
+        certs = represents_locally_everywhere(S, T, c)
         local_ok = (all(cert.status == REPRESENTABLE for cert in certs.values())
                     and _isotropy_at_q(invS, S, T, q)[0])
         if not local_ok:

@@ -236,16 +236,6 @@ def test_search_witness_and_budget_boundary_pinned(S, T, p, c, columns,
                               try_global=False) == cert
 
 
-def test_node_budget_reaches_every_place():
-    """4 has no primitive representation by I3, so the certificate at 2
-    comes from the search, which a budget of 1 leaves undecided."""
-    T = GramMatrix.diagonal([4])
-    certs = represents_locally_everywhere(I3, T, 1, node_budget=1)
-    assert certs[Place.finite(2)].status == UNDECIDED
-    certs = represents_locally_everywhere(I3, T, 1)
-    assert certs[Place.finite(2)].status == NOT_REPRESENTABLE
-
-
 def test_equal_rank_decided_from_determinants():
     # det(X)^2 det S = det T, and 7 is no square at 7 or at 2; at 7 the
     # search alone ran out of its node budget

@@ -2,11 +2,9 @@ import csv
 import io
 import json
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-import latrep.cli
 from latrep.cli import main
 from latrep.enumeration import find_representations
 from latrep.localrep import represents_locally_everywhere, represents_over_Zp
@@ -209,15 +207,25 @@ def test_scan_rows_record_full_gram():
     assert json.loads(report_emit(result, "json"))["schema_version"] == 1
 
 
-def test_scan_flags_undecided_rows():
+def _starved_local_search(monkeypatch):
+    """Give every mod-p^N search a node budget of 1, so each local
+    certificate that the global search does not settle is undecided."""
+    import latrep.localrep
+    search = latrep.localrep.represents_over_Zp
+
+    def starved(S, T, p, c=1, node_budget=None, try_global=True):
+        return search(S, T, p, c, node_budget=1, try_global=try_global)
+
+    monkeypatch.setattr(latrep.localrep, "represents_over_Zp", starved)
+
+
+def test_scan_flags_undecided_rows(monkeypatch):
     S = GramMatrix.identity(3)
     result = scan_family(S, "rank1:8", q=3, j=1, c=1, neighbor_prime=3)
     assert result.undecided is False
     assert not any(row.undecided for row in result.rows)
-    # a node budget of 1 leaves every local certificate that the global
-    # search does not settle undecided
-    result = scan_family(S, "rank1:8", q=3, j=1, c=1, neighbor_prime=3,
-                         node_budget=1)
+    _starved_local_search(monkeypatch)
+    result = scan_family(S, "rank1:8", q=3, j=1, c=1, neighbor_prime=3)
     # t = 4, 7, 8 (t mod 8 in {0, 4, 7}) have no primitive representation
     # by I3, so their local certificates reach the search; the other rows
     # have global witnesses
@@ -230,13 +238,14 @@ def test_scan_flags_undecided_rows():
         row.target in flagged for row in result.rows]
 
 
-def test_check_theorem_hypotheses_node_budget():
+def test_check_theorem_hypotheses_flags_undecided(monkeypatch):
     """4 has no primitive representation by I3, so its certificate at 2
     comes from the search, which a budget of 1 leaves undecided."""
     S, T = GramMatrix.identity(3), GramMatrix.diagonal([4])
     report = check_theorem_hypotheses(S, T, 3, 1, 1, 0)
     assert report.undecided is False
-    report = check_theorem_hypotheses(S, T, 3, 1, 1, 0, node_budget=1)
+    _starved_local_search(monkeypatch)
+    report = check_theorem_hypotheses(S, T, 3, 1, 1, 0)
     assert report.undecided is True
     assert report.condition_i["places"]["2"]["status"] == "undecided"
 
@@ -405,9 +414,7 @@ def test_cli_scan_undecided_exit(capsys, monkeypatch, tmp_path):
             "--neighbor-prime", "3", "--format", "csv")
     code, out = run_cli(capsys, *argv)
     assert code == 0
-    # the CLI has no budget option: starve its scan through the library's
-    monkeypatch.setattr(latrep.cli, "scan_family",
-                        partial(scan_family, node_budget=1))
+    _starved_local_search(monkeypatch)
     code, out = run_cli(capsys, *argv)
     assert code == 3
     rows = list(csv.reader(io.StringIO(out)))

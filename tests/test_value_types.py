@@ -47,7 +47,6 @@ def test_slotted_value_type(name):
 def test_place_finite_is_the_constructor():
     for p in (2, 3, 5, 7, 101):
         assert Place.finite(p) == Place(p)
-        assert Place.finite(p) is Place.finite(p)
     with pytest.raises(ValueError):
         Place.finite(0)
     with pytest.raises(ValueError):
