@@ -8,6 +8,21 @@ takes its first hit, and a stabiliser chain on it gives generators of
 Aut(S) and |Aut(S)| by orbit-stabiliser counting.  p_neighbors builds one
 neighbor per Aut(S)-orbit of isotropic lines.
 
+A positive definite lattice is the orthogonal sum of indecomposable
+components, uniquely up to order (Eichler, Math. Z. 1952).  _components
+splits the LLL-reduced Gram into the blocks of its nonzero off-diagonal
+entries and certifies each block of rank > 1 from its minimal vectors,
+two of them linked when they are not orthogonal: every minimal vector
+lies in one component, so a linked set of full rank certifies the block
+indecomposable, and linked sets whose spans fill the block (ranks adding
+up to its rank, determinants multiplying to its determinant) split it
+into those spans.  Then |Aut(S)| is the product of |Aut(M)|^k k! over the
+isometry classes M of components, k of each, and the stabiliser chain
+runs on the components only; when a block stays uncertified it runs on S.
+p_neighbors still takes its generators from the chain on S, and where S
+splits the two orders must agree.  Isometric forms have the same multiset
+of component ranks and fingerprints.
+
 Neighbor primes are odd and do not divide the determinant.
 enumerate_genus walks the neighbors lazily and adds 1/|Aut(L)| for each
 class L it keeps; it stops as soon as the sum equals the mass of the
@@ -21,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -93,7 +109,9 @@ def _first_isometry(G: Sequence[Sequence[int]], lists, chosen: list
 def is_isometric(S1: GramMatrix, S2: GramMatrix) -> IntMatrix | None:
     """A unimodular U with U^t S1 U = S2, or None.
 
-    Cheap exact fingerprints reject most non-isometric pairs first.  The
+    Cheap exact fingerprints reject most non-isometric pairs first, and
+    then the ranks and fingerprints of the orthogonal components, when
+    both forms have certified ones (module docstring).  The
     Plesken-Souvignier backtrack then maps an LLL-reduced basis b_i of S1
     onto vectors of S2 of norm Q1(b_i), each candidate carried with its
     image S2 v, so that every pruning test is one dot product; choosing
@@ -106,6 +124,12 @@ def is_isometric(S1: GramMatrix, S2: GramMatrix) -> IntMatrix | None:
         return IntMatrix.identity(S1.n)
     if _fingerprint(S1) != _fingerprint(S2):
         return None
+    # S2 first: callers pass the known class as S2, its parts are cached
+    parts2 = _components(S2)
+    if parts2 is not None:
+        parts1 = _components(S1)
+        if parts1 is not None and _signature(parts1) != _signature(parts2):
+            return None
     S1r, U1, _, _ = _reduced(S1)
     G = S1r.entries
     chosen = _first_isometry(
@@ -117,6 +141,75 @@ def is_isometric(S1: GramMatrix, S2: GramMatrix) -> IntMatrix | None:
     if gram_of_columns(S1, U).entries != S2.entries:
         raise AssertionError("isometry witness fails to verify")
     return U
+
+
+def _linked(n: int, adjacent) -> list[list[int]]:
+    """The connected components of the graph on 0..n-1 with an edge i-j
+    where adjacent(i, j), each in the order in which it is reached."""
+    rest = list(range(n))
+    out = []
+    while rest:
+        part = [rest.pop(0)]
+        k = 0
+        while k < len(part):
+            far = []
+            for j in rest:
+                (part if adjacent(part[k], j) else far).append(j)
+            rest = far
+            k += 1
+        out.append(part)
+    return out
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _components(S: GramMatrix) -> tuple[GramMatrix, ...] | None:
+    """Grams of the indecomposable orthogonal components of S, or None when
+    some block of the reduced Gram is not certified (module docstring)."""
+    G = _reduced(S)[0].entries
+    out: list[GramMatrix] = []
+    for block in _linked(S.n, lambda i, j: G[i][j] != 0):
+        B = S if len(block) == S.n else GramMatrix(
+            [[G[i][j] for j in block] for i in block])
+        if B.n == 1:
+            out.append(B)
+            continue
+        # minimal vectors, one per sign, with their images B v
+        mins = _norm_list(B, _fingerprint(B)[1])[::2]
+        if len(mins) < B.n:  # too few to span B
+            return None
+        sets = _linked(len(mins), lambda a, b:
+                       sum(map(mul, mins[a][0], mins[b][1])) != 0)
+        spans = [column_hnf(IntMatrix.from_columns([mins[a][0] for a in s]))
+                 for s in sets]
+        if sum(H.cols for H in spans) != B.n:
+            return None
+        if len(spans) == 1:
+            out.append(B)
+            continue
+        parts = [gram_of_columns(B, H) for H in spans]
+        if prod(map(det, parts)) != det(B):
+            return None
+        out.extend(parts)
+    return tuple(out)
+
+
+def _signature(parts: Sequence[GramMatrix]) -> list:
+    """The sorted ranks and fingerprints of components."""
+    return sorted((M.n, _fingerprint(M)) for M in parts)
+
+
+def _split_order(parts: Sequence[GramMatrix]) -> int:
+    """|Aut| of the orthogonal sum of the indecomposable parts: the product
+    of |Aut(M)|^k k! over the isometry classes M of parts, k of each."""
+    classes: list[list] = []  # [representative, count]
+    for M in parts:
+        for c in classes:
+            if M.n == c[0].n and is_isometric(M, c[0]) is not None:
+                c[1] += 1
+                break
+        else:
+            classes.append([M, 1])
+    return prod(_automorphisms(M)[0] ** k * factorial(k) for M, k in classes)
 
 
 def _orbit(x: tuple[int, ...], gens: Sequence[IntMatrix], p: int = 0
@@ -183,13 +276,20 @@ def _automorphisms(S: GramMatrix) -> tuple[int, tuple[IntMatrix, ...]]:
             orbit = _orbit(basis[i], gens)
             done |= orbit
         order *= len(orbit)
+    parts = _components(S)
+    if parts is not None and len(parts) > 1 and order != _split_order(parts):
+        raise AssertionError("stabiliser chain and components disagree on |Aut|")
     return order, tuple(gens)
 
 
 def automorphism_group_order(S: GramMatrix) -> int:
     """|Aut(S)| for a positive definite S, counted by orbits and
-    stabilisers, so the group itself is never listed."""
-    return _automorphisms(S)[0]
+    stabilisers, so the group itself is never listed; over the
+    indecomposable components when S splits (module docstring)."""
+    parts = _components(S)
+    if parts is None or len(parts) == 1:
+        return _automorphisms(S)[0]
+    return _split_order(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +456,7 @@ def enumerate_genus(S: GramMatrix, p: int, class_cap: int = 64,
     # det(S) is unimodular with the same symbol and Hasse invariant 1
     check_primes = sorted({2} | factorint(det(S)).keys())
     seed_splits = [jordan_decomposition(S, q) for q in check_primes]
-    seed_symbol = _genus_symbol(S, seed_splits)
+    seed_symbol = None  # computed for the first new class
     expected = _mass(S.n, det(S), seed_splits)
     found = Fraction(1, automorphism_group_order(S))
     classes, edges, complete = [S], [], True
@@ -369,6 +469,8 @@ def enumerate_genus(S: GramMatrix, p: int, class_cap: int = 64,
                           if is_isometric(nb, rep) is not None), None)
                 if j is None:
                     # an isometric neighbour shares its class's symbol
+                    if seed_symbol is None:
+                        seed_symbol = _genus_symbol(S, seed_splits)
                     splits = [jordan_decomposition(nb, q) for q in check_primes]
                     if _genus_symbol(nb, splits) != seed_symbol:
                         raise AssertionError("neighbor left the genus")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -6,12 +7,13 @@ import pytest
 from oracles import automorphism_count_oracle, random_pos_def_entries
 
 from latrep.enumeration import lattice_minimum, lll_reduce, vectors_of_norm
-from latrep.genus import (_automorphisms, _lift_isotropic, _neighbor_gram,
-                          _projective_points, automorphism_group_order,
-                          enumerate_genus, is_isometric, p_neighbors,
+from latrep.genus import (_automorphisms, _components, _lift_isotropic,
+                          _neighbor_gram, _projective_points,
+                          automorphism_group_order, enumerate_genus,
+                          is_isometric, p_neighbors,
                           represented_by_all_classes)
-from latrep.matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
-                             is_positive_definite)
+from latrep.matrices import (GramMatrix, IntMatrix, column_hnf, det,
+                             gram_of_columns, is_positive_definite)
 
 rng = random.Random(2718)
 
@@ -24,6 +26,32 @@ E8 = GramMatrix([
     [0, 0, 0, 0, -1, 2, -1, 0],
     [0, 0, 0, 0, 0, -1, 2, 0],
     [0, 0, 0, 0, -1, 0, 0, 2]])
+
+
+def d16_plus():
+    """D16+: D16 and the glue vector (1/2)^16, from coordinates doubled so
+    that every generator is integral."""
+    cols = [[2 * ((i == k) - (i == k + 1)) for i in range(16)]
+            for k in range(15)]
+    cols.append([2 * (i >= 14) for i in range(16)])  # 2 (e15 + e16)
+    cols.append([1] * 16)
+    G = gram_of_columns(GramMatrix.identity(16),
+                        column_hnf(IntMatrix.from_columns(cols)))
+    return GramMatrix([[x // 4 for x in row] for row in G.entries])
+
+
+def block_sum(*blocks):
+    """The orthogonal sum of Grams given as lists of rows."""
+    n = sum(len(b) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b:
+            rows.append([0] * at + list(row) + [0] * (n - at - len(row)))
+        at += len(b)
+    return rows
+
+
+E8_E8 = GramMatrix(block_sum(E8.entries, E8.entries))
 
 
 def random_pos_def(n, spread=3):
@@ -240,9 +268,10 @@ def test_e8_genus_and_kissing():
 
 def test_automorphism_group_orders():
     E8_I1 = GramMatrix([list(row) + [0] for row in E8.entries] + [[0] * 8 + [1]])
-    cases = [(GramMatrix.identity(n), 2 ** n * factorial(n)) for n in range(1, 10)]
+    cases = [(GramMatrix.identity(n), 2 ** n * factorial(n)) for n in range(1, 13)]
     cases += [(E8, 696_729_600), (GramMatrix([[2, 1], [1, 2]]), 12),
-              (E8_I1, 1_393_459_200),
+              (E8_I1, 1_393_459_200), (E8_E8, 970_864_271_032_320_000),
+              (GramMatrix.diagonal([2, 1, 2, 1, 2]), 2 ** 5 * 2 * 6),
               (GramMatrix([[3, 1, 0], [1, 4, 1], [0, 1, 6]]), 2)]  # only +-1
     for S, order in cases:
         assert automorphism_group_order(S) == order
@@ -272,6 +301,85 @@ def test_automorphism_orders_match_brute_force():
         assert automorphism_group_order(GramMatrix(rows)) == \
             automorphism_count_oracle(rows), rows
         done += 1
+
+
+def test_automorphism_orders_of_orthogonal_sums():
+    # |Aut| of a sum of two or three random forms (total rank <= 5) is read
+    # off its components in block form; a change of basis may leave the
+    # reduced Gram connected, and then the order comes from the chain
+    rand = random.Random(1952)
+    split = 0
+    for _ in range(24):
+        k = rand.choice((2, 3))
+        ranks = [1] * k
+        for _ in range(rand.randint(0, 5 - k)):
+            ranks[rand.randrange(k)] += 1
+        # some blocks a multiple of I_r, so that isometric components repeat
+        blocks = [random_pos_def_entries(rand, r, spread=1, bump=2)
+                  if rand.random() < 0.7 else
+                  GramMatrix.diagonal([rand.choice((1, 2))] * r).entries
+                  for r in ranks]
+        rows = block_sum(*blocks)
+        order = automorphism_count_oracle(rows)
+        S = GramMatrix(rows)
+        parts = _components(S)
+        split += parts is not None and len(parts) > 1
+        assert automorphism_group_order(S) == order, rows
+        n = len(rows)
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rand.sample(range(n), 2)
+            f = rand.choice((-1, 1))
+            U[i] = [x + f * y for x, y in zip(U[i], U[j])]
+        assert automorphism_group_order(gram_of_columns(S, IntMatrix(U))) \
+            == order, (rows, U)
+    assert split >= 12  # blocks whose minimal vectors do not span stay whole
+
+
+def test_connected_reduced_gram_goes_through_the_chain():
+    # A3's roots are linked and span it: one component; the minimal
+    # vectors +-e1 of [[2, 1], [1, 3]] do not span it: not certified
+    for rows, parts in (([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 1),
+                        ([[2, 1], [1, 3]], None),
+                        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
+                          [0, 0, -1, 3]], None)):
+        S = GramMatrix(rows)
+        got = _components(S)
+        assert (got if got is None else len(got)) == parts
+        assert automorphism_group_order(S) == automorphism_count_oracle(rows)
+    # the roots of E8 + E8 in a skewed basis fall into two linked sets
+    n = 16
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        U[i][i + 1] = 1
+    S = gram_of_columns(E8_E8, IntMatrix(U))
+    assert [(M.n, det(M)) for M in _components(S)] == [(8, 1), (8, 1)]
+    assert automorphism_group_order(S) == 2 * 696_729_600 ** 2
+
+
+def test_e8_e8_and_d16_plus_told_apart_by_components():
+    # same det, minimum and number of minimal vectors, one component
+    # against two, so no backtrack is needed
+    D16p = d16_plus()
+    assert det(D16p) == 1 and all(D16p.entries[i][i] % 2 == 0
+                                  for i in range(16))
+    start = time.perf_counter()
+    assert is_isometric(E8_E8, D16p) is None
+    assert is_isometric(D16p, E8_E8) is None
+    assert time.perf_counter() - start < 5
+    assert len(_components(D16p)) == 1
+    assert [M.n for M in _components(E8_E8)] == [8, 8]
+
+
+def test_class_number_one_closure_skips_the_genus_symbol(monkeypatch):
+    import latrep.genus
+
+    def unwanted(S, splits):
+        raise AssertionError("genus symbol computed")
+
+    monkeypatch.setattr(latrep.genus, "_genus_symbol", unwanted)
+    for n in range(2, 7):
+        assert enumerate_genus(GramMatrix.identity(n), 3).mass_certified
 
 
 def _p_neighbors_every_line(S, p):

@@ -372,6 +372,23 @@ def test_cli_genus_classes_beyond_the_mass(capsys, monkeypatch, i4):
     assert record["type"] == "AssertionError"
 
 
+def test_cli_genus_chain_and_components_disagree(capsys, monkeypatch, i4):
+    # the neighbour walk runs the stabiliser chain on I4, which also splits
+    # into four components; orders that differ are an internal failure
+    import latrep.genus
+    split_order = latrep.genus._split_order
+    monkeypatch.setattr(latrep.genus, "_split_order",
+                        lambda parts: 2 * split_order(parts))
+    latrep.genus._automorphisms.cache_clear()
+    code = main(["genus", "--gram", i4, "-p", "3"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err.strip().splitlines()[-1])
+    assert record["type"] == "AssertionError"
+    assert "components" in record["message"]
+
+
 def test_cli_check(capsys, tmp_path, i8):
     t = write_gram(tmp_path, "t.json", [[1, 0], [0, 1]])
     code, out = run_cli(capsys, "check", "--gram", i8, "--target", t,
