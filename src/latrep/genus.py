@@ -168,6 +168,8 @@ def _components(S: GramMatrix) -> tuple[GramMatrix, ...] | None:
     G = _reduced(S)[0].entries
     out: list[GramMatrix] = []
     for block in _linked(S.n, lambda i, j: G[i][j] != 0):
+        # a whole block is S itself, whose fingerprint and minimal vectors
+        # is_isometric and the stabiliser chain share through the caches
         B = S if len(block) == S.n else GramMatrix(
             [[G[i][j] for j in block] for i in block])
         if B.n == 1:
