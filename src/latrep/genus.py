@@ -9,19 +9,21 @@ Aut(S) and |Aut(S)| by orbit-stabiliser counting.  p_neighbors builds one
 neighbor per Aut(S)-orbit of isotropic lines.
 
 A positive definite lattice is the orthogonal sum of indecomposable
-components, uniquely up to order (Eichler, Math. Z. 1952).  _components
-splits the LLL-reduced Gram into the blocks of its nonzero off-diagonal
-entries and certifies each block of rank > 1 from its minimal vectors,
-two of them linked when they are not orthogonal: every minimal vector
-lies in one component, so a linked set of full rank certifies the block
-indecomposable, and linked sets whose spans fill the block (ranks adding
-up to its rank, determinants multiplying to its determinant) split it
-into those spans.  Then |Aut(S)| is the product of |Aut(M)|^k k! over the
+components, uniquely up to order (Eichler, Math. Z. 1952).
+_components splits the LLL-reduced Gram into the blocks of its nonzero
+off-diagonal entries and certifies each block of rank > 1 from its
+minimal vectors, two of them linked when they are not orthogonal: every
+minimal vector lies in one component, so a linked set of full rank
+certifies the block indecomposable (the block's own basis is such a set
+when all its norms equal its minimum, which one pass over the diagonal
+shows), and linked sets whose spans fill the block (ranks adding up to
+its rank, determinants multiplying to its determinant) split it into
+those spans.  Then |Aut(S)| is the product of |Aut(M)|^k k! over the
 isometry classes M of components, k of each, and the stabiliser chain
-runs on the components only; when a block stays uncertified it runs on S.
-p_neighbors still takes its generators from the chain on S, and where S
-splits the two orders must agree.  Isometric forms have the same multiset
-of component ranks and fingerprints.
+runs on the components only; when a block stays uncertified it runs on
+S.  p_neighbors still takes its generators from the chain on S, and
+where S splits the two orders must agree.  Isometric forms have the same
+multiset of component ranks and fingerprints.
 
 Neighbor primes are odd and do not divide the determinant.
 enumerate_genus walks the neighbors lazily and adds 1/|Aut(L)| for each
@@ -168,20 +170,27 @@ def _components(S: GramMatrix) -> tuple[GramMatrix, ...] | None:
     G = _reduced(S)[0].entries
     out: list[GramMatrix] = []
     for block in _linked(S.n, lambda i, j: G[i][j] != 0):
-        # a whole block is S itself, whose fingerprint and minimal vectors
-        # is_isometric and the stabiliser chain share through the caches
+        # a whole block is S itself, whose fingerprint is_isometric shares
         B = S if len(block) == S.n else GramMatrix(
             [[G[i][j] for j in block] for i in block])
         if B.n == 1:
             out.append(B)
             continue
-        # minimal vectors, one per sign, with their images B v
-        mins = _norm_list(B, _fingerprint(B)[1])[::2]
-        if len(mins) < B.n:  # too few to span B
+        _, mu, count = _fingerprint(B)
+        if all(G[i][i] == mu for i in block):
+            # the reduced basis of B: minimal vectors, linked along the
+            # block's edges, spanning B
+            out.append(B)
+            continue
+        if count < B.n:  # too few minimal vectors to span B
             return None
+        # one per sign, from the stream the fingerprint filled; no
+        # _norm_list entry is made for a neighbour that is_isometric drops
+        mins = vectors_of_norm(B, mu).vectors
+        images = [[sum(map(mul, row, v)) for row in B.entries] for v in mins]
         sets = _linked(len(mins), lambda a, b:
-                       sum(map(mul, mins[a][0], mins[b][1])) != 0)
-        spans = [column_hnf(IntMatrix.from_columns([mins[a][0] for a in s]))
+                       sum(map(mul, mins[a], images[b])) != 0)
+        spans = [column_hnf(IntMatrix.from_columns([mins[a] for a in s]))
                  for s in sets]
         if sum(H.cols for H in spans) != B.n:
             return None

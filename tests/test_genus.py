@@ -336,6 +336,30 @@ def test_automorphism_orders_of_orthogonal_sums():
     assert split >= 12  # blocks whose minimal vectors do not span stay whole
 
 
+def test_basis_of_minimal_vectors_certified_without_listing(monkeypatch):
+    # the reduced bases of A4, D5 and E8 are minimal vectors, linked along
+    # the connected Gram, so one pass over the diagonal certifies them;
+    # [[4, 2], [2, 3]] has minimum 3 < 4, and its minimal vectors are listed
+    import latrep.genus
+    a4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+    d5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+          [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
+    roots = [GramMatrix(a4), GramMatrix(d5), E8]
+    other = GramMatrix([[4, 2], [2, 3]])
+    for S in roots + [other]:
+        latrep.genus._fingerprint(S)
+    listed = []
+
+    def listing(S, t):
+        listed.append(S)
+        return vectors_of_norm(S, t)
+
+    monkeypatch.setattr(latrep.genus, "vectors_of_norm", listing)
+    for S in roots + [other]:
+        assert _components.__wrapped__(S) == (S,)
+    assert listed == [other]
+
+
 def test_connected_reduced_gram_goes_through_the_chain():
     # A3's roots are linked and span it: one component; the minimal
     # vectors +-e1 of [[2, 1], [1, 3]] do not span it: not certified
