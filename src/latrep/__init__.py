@@ -3,9 +3,9 @@ local representability with bounded imprimitivity, genus enumeration via
 Kneser neighbors, global representation search, and local-global scans."""
 
 from .matrices import (GramMatrix, IntMatrix, SmithForm, column_hnf, det,
-                       det_int, elementary_divisors, gram_of_columns,
-                       inner_product, invert_unimodular, is_positive_definite,
-                       load_gram, parse_gram, saturate, smith_normal_form,
+                       elementary_divisors, gram_of_columns, inner_product,
+                       invert_unimodular, is_positive_definite, load_gram,
+                       parse_gram, saturate, smith_normal_form,
                        solve_integer_columns)
 from .padic import (Place, REAL, SpaceInvariants, JordanComponent,
                     JordanSplitting, hasse_invariant, hilbert_symbol,

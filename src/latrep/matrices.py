@@ -208,12 +208,6 @@ def det(S: GramMatrix) -> int:
     return _det_cached(S.entries)
 
 
-def det_int(M: IntMatrix) -> int:
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    return _det_cached(M.entries)
-
-
 def integral_gram_schmidt(S: GramMatrix) -> tuple[list[int], list[list[int]]]:
     """Integral Gram-Schmidt data (d, lam) of the basis with Gram S.
 

@@ -187,11 +187,6 @@ class SpaceInvariants:
         return self.rank, self.det_class, self.hasse_at(v)
 
 
-def invariants_of_diagonal(diag: Sequence) -> SpaceInvariants:
-    d = [_int_class(x) for x in diag]
-    return _invariants(d, prod(d))
-
-
 def space_invariants(S: GramMatrix) -> SpaceInvariants:
     """Invariants of the rational quadratic space of S; S nonsingular.
 

@@ -502,7 +502,7 @@ def random_pos_def_entries(rand, n, spread=2, bump=2):
         ok = True
         for k in range(1, n + 1):
             sub = [row[:k] for row in G[:k]]
-            if _naive_det(sub) <= 0:
+            if fraction_det(sub) <= 0:
                 ok = False
                 break
         if ok:
@@ -620,3 +620,183 @@ def filtered_representations_oracle(S, T, c, limit=None):
             if limit is not None and len(out) >= limit:
                 break
     return out
+
+
+def fraction_det(rows):
+    """Determinant of a square integer matrix by Gaussian elimination in
+    Fractions."""
+    from fractions import Fraction
+    a = [[Fraction(x) for x in row] for row in rows]
+    n, out = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(out)
+
+
+def diagonal_invariants(diag):
+    """The space invariants of the rational diagonal form diag(diag), by
+    the package's space_invariants on the integer diagonal form whose
+    entries u v, for each entry u / v, lie in the same square classes."""
+    from fractions import Fraction
+    from latrep import GramMatrix, space_invariants
+    ints = [Fraction(a).numerator * Fraction(a).denominator for a in diag]
+    return space_invariants(GramMatrix.diagonal(ints))
+
+
+# mass_oracle: the Conway-Sloane mass as latrep.mass computed it in
+# Fractions, frozen as a reference for the integer rewrite
+
+
+def mass_oracle(n, d, splits, max_conductor=100_000):
+    """The mass of a genus of rank n and determinant d > 0 from its Jordan
+    splittings at every prime of 2d, every factor a Fraction; None when
+    the conductor of the character sum exceeds max_conductor."""
+    from fractions import Fraction
+    from math import factorial, isqrt, prod
+    from latrep.padic import ord_p
+    if n == 1:
+        return Fraction(1, 2)
+    s = (n + 1) // 2
+    D = (-1) ** s * d if n % 2 == 0 else 0
+    primes = [split.prime.p for split in splits]
+    B = _fraction_bernoulli(n)
+    q, pi2, root = Fraction(2), -n * (n + 1) // 2, 1
+    for j in range(1, n + 1):
+        if j % 2 == 0:
+            q *= factorial(j // 2 - 1)
+        else:
+            q *= Fraction(factorial(j - 1), 4 ** (j // 2) * factorial(j // 2))
+            pi2 += 1
+    for k in range(1, s):
+        q *= (-1) ** (k + 1) * B[2 * k] * Fraction(4 ** k, 2 * factorial(2 * k))
+        pi2 += 4 * k
+    if D:
+        core = (-1 if D < 0 else 1) * prod(p for p in primes
+                                           if d % p == 0 and ord_p(d, p) % 2)
+        D0 = core if core % 4 == 1 else 4 * core
+        f = abs(D0)
+        if f > max_conductor:
+            return None
+        q *= ((-1) ** (1 + (s - (D0 < 0)) // 2) * Fraction(2 ** s, 2 * f ** s)
+              * _fraction_bernoulli_chi(s, D0, B) / factorial(s))
+        root *= f
+        pi2 += 2 * s
+        for p in primes:
+            if p == 2 or d % p == 0:
+                q *= ((1 - Fraction(_oracle_kronecker(D0, p), p ** s))
+                      / (1 - Fraction(_oracle_kronecker(D, p), p ** s)))
+    for split in splits:
+        p = split.prime.p
+        m_p, cross = _fraction_local_mass(split)
+        q *= m_p / _fraction_M(p, n, _oracle_kronecker(D, p)) * p ** (cross // 2)
+        root *= p ** (cross % 2)
+    r = isqrt(root)
+    assert pi2 == 0 and r * r == root and q > 0
+    return q * r
+
+
+def _fraction_M(p, dim, sign):
+    from fractions import Fraction
+    from math import prod
+    if dim == 0:
+        return Fraction(1)
+    k = (dim + 1) // 2
+    out = 2 * prod((1 - Fraction(1, p ** (2 * i)) for i in range(1, k)),
+                   start=Fraction(1))
+    if dim % 2 == 0:
+        out *= 1 - Fraction(sign, p ** k)
+    return 1 / out
+
+
+def _fraction_local_mass(split):
+    from fractions import Fraction
+    from itertools import combinations
+    from math import prod
+    from latrep.matrices import det
+    p = split.prime.p
+    comps = split.components
+    cross = sum((b.scale - a.scale) * a.rank * b.rank
+                for a, b in combinations(comps, 2))
+    if p != 2:
+        return prod((_fraction_M(p, c.rank, _oracle_kronecker(
+            (-1) ** (c.rank // 2) * det(c.unit_block), p)) for c in comps),
+            start=Fraction(1)), cross
+    by_scale = {c.scale: c for c in comps}
+    odd = {c.scale for c in comps if not c.even}
+    m = Fraction(2) ** (sum(k + 1 in odd for k in odd)
+                        - sum(c.rank for c in comps if c.even))
+    for k in range(comps[0].scale - 1, comps[-1].scale + 2):
+        c = by_scale.get(k)
+        dim = c.rank if c else 0
+        if k - 1 in odd or k + 1 in odd:
+            t = dim - (k in odd)
+            m *= _fraction_M(2, t if t % 2 else t + 1, 0)
+            continue
+        u = det(c.unit_block) if c else 1
+        eps = 1 if u % 8 in (1, 7) else -1
+        if k not in odd:
+            m *= _fraction_M(2, dim, eps)
+            continue
+        octane = (_oracle_oddity(c.unit_block) + 2 - 2 * eps) % 8
+        if octane in (2, 6):
+            m *= _fraction_M(2, dim - 1, 0)
+        elif dim % 2:
+            m *= _fraction_M(2, dim - 1, 1 if octane in (1, 7) else -1)
+        else:
+            m *= _fraction_M(2, dim - 2, 1 if octane == 0 else -1)
+    return m, cross
+
+
+def _oracle_oddity(u):
+    from latrep.matrices import det
+    from latrep.padic import Place, _diagonal, hasse_invariant
+    d = det(u)
+    a = d % 4 == 3
+    k = a + 2 * (hasse_invariant(_diagonal(u), Place(2)) == -1)
+    j = (a + (d % 8 in (3, 5))) % 2
+    return (u.n + 2 * k + 4 * j) % 8
+
+
+def _fraction_bernoulli(n):
+    from fractions import Fraction
+    from math import comb
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+def _fraction_bernoulli_chi(k, D0, B):
+    from fractions import Fraction
+    from math import comb
+    f = abs(D0)
+    P = [0] * (k + 1)
+    for a in range(1, f + 1):
+        x = _oracle_kronecker(D0, a)
+        if x:
+            for m in range(k + 1):
+                P[m] += x
+                x *= a
+    return sum(comb(k, j) * B[j] * Fraction(f) ** (j - 1) * P[k - j]
+               for j in range(k + 1))
+
+
+def _oracle_kronecker(a, n):
+    from latrep.primes import _jacobi
+    out = 1
+    while n % 2 == 0:
+        n //= 2
+        if a % 2 == 0:
+            return 0
+        if a % 8 in (3, 5):
+            out = -out
+    return out * _jacobi(a, n)

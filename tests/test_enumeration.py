@@ -5,18 +5,19 @@ from operator import mul
 import pytest
 
 from oracles import (box_minimum, box_vectors, box_vectors_of_norm,
-                     filtered_representations_oracle, fraction_gram_schmidt,
-                     random_pos_def_entries, reference_lll)
+                     filtered_representations_oracle, fraction_det,
+                     fraction_gram_schmidt, random_pos_def_entries,
+                     reference_lll)
 
 from latrep.enumeration import (Embedding, _column_search,
                                 _constrained_candidates, _kernel_frame,
                                 extend_representation,
                                 find_representations,
                                 lattice_minimum, lll_reduce, vectors_of_norm)
-from latrep.matrices import (GramMatrix, IntMatrix, det, det_int,
-                             elementary_divisors, gram_of_columns,
-                             invert_unimodular, is_positive_definite,
-                             saturate, solve_integer_columns)
+from latrep.matrices import (GramMatrix, IntMatrix, det, elementary_divisors,
+                             gram_of_columns, invert_unimodular,
+                             is_positive_definite, saturate,
+                             solve_integer_columns)
 
 rng = random.Random(4242)
 
@@ -52,7 +53,7 @@ def test_lll_preserves_class():
         n = rng.randint(2, 5)
         S = random_pos_def(n)
         reduced, U = lll_reduce(S)
-        assert abs(det_int(U)) == 1
+        assert abs(fraction_det(U.entries)) == 1
         assert gram_of_columns(S, U).entries == reduced.entries
         assert det(reduced) == det(S)
 
@@ -67,7 +68,7 @@ def test_lll_matches_reference(n):
         S = GramMatrix(random_pos_def_entries(draw, n, spread=(2, 5)[case % 3 == 2],
                                               bump=3))
         reduced, U = lll_reduce(S, delta)
-        assert abs(det_int(U)) == 1
+        assert abs(fraction_det(U.entries)) == 1
         assert gram_of_columns(S, U).entries == reduced.entries
         mu, norms = fraction_gram_schmidt(reduced.entries)
         assert all(abs(mu[k][j]) <= Fraction(1, 2)

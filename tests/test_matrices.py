@@ -5,8 +5,10 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from latrep.matrices import (GramMatrix, IntMatrix, adjugate, column_hnf,
-                             det_int, elementary_divisors, gram_of_columns,
+from oracles import fraction_det
+
+from latrep.matrices import (GramMatrix, IntMatrix, _det_bareiss, adjugate,
+                             column_hnf, elementary_divisors, gram_of_columns,
                              inner_product, invert_unimodular,
                              is_positive_definite, parse_gram, saturate,
                              smith_normal_form, solve_integer_columns)
@@ -46,7 +48,8 @@ def test_det_matches_cofactor_expansion():
     for _ in range(60):
         n = rng.randint(1, 5)
         m = random_int_matrix(n, n)
-        assert det_int(m) == naive_det([list(r) for r in m.entries])
+        rows = [list(r) for r in m.entries]
+        assert _det_bareiss(rows) == naive_det(rows)
 
 
 def test_gram_rejects_asymmetric():
@@ -134,8 +137,8 @@ def test_inner_product_and_value():
 def _check_smith(X):
     r, c = X.rows, X.cols
     snf = smith_normal_form(X)
-    assert abs(det_int(snf.U)) == 1
-    assert abs(det_int(snf.V)) == 1
+    assert abs(fraction_det(snf.U.entries)) == 1
+    assert abs(fraction_det(snf.V.entries)) == 1
     D = snf.U @ X @ snf.V
     for i in range(r):
         for j in range(c):
@@ -288,8 +291,8 @@ def test_saturate_idempotent_and_contains():
         assert saturate(sat).entries == sat.entries
         # index of B in its saturation = product of elementary divisors
         coords = solve_integer_columns(sat, B)
-        assert abs(det_int(coords)) == 1 or elementary_divisors(coords) == \
-            elementary_divisors(B)
+        assert abs(fraction_det(coords.entries)) == 1 or \
+            elementary_divisors(coords) == elementary_divisors(B)
 
 
 def test_saturation_of_scaled_basis():

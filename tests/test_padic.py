@@ -8,14 +8,13 @@ import sympy
 
 from latrep.matrices import GramMatrix, det
 from latrep.padic import (Place, REAL, complement_isotropic,
-                          hasse_invariant, hilbert_symbol,
-                          invariants_of_diagonal, is_isotropic,
+                          hasse_invariant, hilbert_symbol, is_isotropic,
                           is_local_square, jordan_decomposition, legendre,
                           ord_p, space_invariants, squarefree_class)
 
-from oracles import (fraction_diagonal_oracle, fraction_jordan_oracle,
-                     hilbert_class_oracle, hilbert_oracle,
-                     random_pos_def_entries)
+from oracles import (diagonal_invariants, fraction_diagonal_oracle,
+                     fraction_jordan_oracle, hilbert_class_oracle,
+                     hilbert_oracle, random_pos_def_entries)
 
 rng = random.Random(97)
 
@@ -129,7 +128,7 @@ def test_int_inputs_build_no_fraction(monkeypatch):
     assert hilbert_symbol(3, -6, v) == hilbert_symbol(-6, 3, v)
     assert is_local_square(12, Place.finite(2)) is False
     assert hasse_invariant([1, 2, 3, 6], v) in (1, -1)
-    assert invariants_of_diagonal([1, 2, 3]).det_class == 6
+    assert space_invariants(GramMatrix.diagonal([1, 2, 3])).det_class == 6
     assert squarefree_class(-50) == -2
     S = GramMatrix([[2, 1, 0], [1, 2, 3], [0, 3, -6]])
     assert space_invariants(S).det_class == squarefree_class(det(S))
@@ -174,10 +173,10 @@ def test_is_local_square():
 
 def test_invariants_independent_of_diagonalization():
     # same space, two different diagonal presentations
-    inv1 = invariants_of_diagonal([1, 1, 1])
-    inv2 = invariants_of_diagonal([4, 9, 25])
+    inv1 = diagonal_invariants([1, 1, 1])
+    inv2 = diagonal_invariants([4, 9, 25])
     assert inv1 == inv2
-    inv3 = invariants_of_diagonal([2, 3, 6])
+    inv3 = diagonal_invariants([2, 3, 6])
     assert inv3.det_class == 1
     assert space_invariants(GramMatrix.diagonal([2, 3, 6])) == inv3
 
@@ -212,7 +211,7 @@ def test_space_invariants_match_fraction_oracle():
     for _ in range(150):
         S = _seeded_symmetric(draw, draw.randint(1, 6))
         diag = fraction_diagonal_oracle([list(r) for r in S.entries])
-        assert space_invariants(S) == invariants_of_diagonal(diag), S.entries
+        assert space_invariants(S) == diagonal_invariants(diag), S.entries
         amb = space_invariants(GramMatrix.identity(S.n + 2))
         ints = GramMatrix.diagonal([x.numerator * x.denominator for x in diag])
         for q in (2, 3, 5):
@@ -264,7 +263,7 @@ def test_isotropy_against_oracle_small():
         ([1, 1, 1], 7), ([1, 1, -1], 3), ([1, 2, -3], 3), ([2, 3], 5),
     ]
     for diag, p in cases:
-        inv = invariants_of_diagonal(diag)
+        inv = diagonal_invariants(diag)
         k = 6 if p == 2 else 3
         assert is_isotropic(inv, Place.finite(p)) == isotropy_oracle(diag, p, k), \
             (diag, p)
@@ -273,14 +272,14 @@ def test_isotropy_against_oracle_small():
 def test_isotropy_rank5_always():
     for _ in range(20):
         diag = [rng.choice([x for x in range(-8, 9) if x]) for _ in range(5)]
-        inv = invariants_of_diagonal(diag)
+        inv = diagonal_invariants(diag)
         for p in (2, 3, 5, 7):
             assert is_isotropic(inv, Place.finite(p))
 
 
 def test_isotropy_real():
-    assert not is_isotropic(invariants_of_diagonal([1, 1, 1]), REAL)
-    assert is_isotropic(invariants_of_diagonal([1, -1]), REAL)
+    assert not is_isotropic(diagonal_invariants([1, 1, 1]), REAL)
+    assert is_isotropic(diagonal_invariants([1, -1]), REAL)
 
 
 def test_space_invariants_factor_only_det():

@@ -3,11 +3,12 @@
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import fraction_det
 
 from latrep.enumeration import lattice_minimum
 from latrep.genus import _genus_symbol, automorphism_group_order, is_isometric
 from latrep.matrices import (GramMatrix, IntMatrix, _det_bareiss, det,
-                             det_int, gram_of_columns, invert_unimodular,
+                             gram_of_columns, invert_unimodular,
                              is_positive_definite)
 from latrep.padic import (Place, complement_isotropic, jordan_decomposition,
                           space_invariants)
@@ -88,7 +89,7 @@ def test_is_isometric_finds_verified_witness(case):
     S2 = gram_of_columns(S, U)
     W = is_isometric(S, S2)
     assert W is not None
-    assert abs(det_int(W)) == 1
+    assert abs(fraction_det(W.entries)) == 1
     assert gram_of_columns(S, W).entries == S2.entries
 
 
