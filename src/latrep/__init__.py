@@ -2,11 +2,10 @@
 local representability with bounded imprimitivity, genus enumeration via
 Kneser neighbors, global representation search, and local-global scans."""
 
-from .matrices import (GramMatrix, IntMatrix, SmithForm, column_hnf, det,
-                       elementary_divisors, gram_of_columns, inner_product,
-                       invert_unimodular, is_positive_definite, load_gram,
-                       parse_gram, saturate, smith_normal_form,
-                       solve_integer_columns)
+from .matrices import (GramMatrix, IntMatrix, column_hnf, det,
+                       gram_of_columns, inner_product, invert_unimodular,
+                       is_positive_definite, load_gram, parse_gram, saturate,
+                       smith_normal_form, solve_integer_columns)
 from .padic import (Place, REAL, SpaceInvariants, JordanComponent,
                     JordanSplitting, hasse_invariant, hilbert_symbol,
                     is_isotropic, is_local_square, jordan_decomposition,

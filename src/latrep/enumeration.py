@@ -6,18 +6,19 @@ Fincke-Pohst enumeration on the same integers (shifted cosets scaled by the
 determinant), global representation search X^t S X = T, imprimitivity
 measurement and representation extension.  No floating point anywhere.
 
-The column search keeps one kernel frame per column prefix (the Smith form
-of the prefix's linear constraints, the LLL-reduced kernel and the
-adjugate of its Gram), under the one cache policy, so each candidate
-column costs one particular solution and one shifted enumeration.  The
-frame also holds a unimodular row echelon of the prefix itself, so the
-divisor bound c is tested inside the search: a candidate column is kept
-only while the exponent of sat(L)/L for the columns L so far divides c,
-which costs one matrix-vector product, one gcd and, when the prefix is
-imprimitive, one congruence per prefix column.  Only admitted X reach
-`Embedding.build`.  Under the same policy each Gram is
-LLL-reduced once, with its Gram-Schmidt data, for its minimum and its
-vectors of one norm.
+The kernel frames, the divisor bound and the extensions take every
+integer span from one routine, `matrices.echelon`.  The column search
+keeps one kernel frame per column prefix (the echelon of the prefix's
+linear constraints, the LLL-reduced kernel and the adjugate of its Gram),
+under the one cache policy, so each candidate column costs one particular
+solution and one shifted enumeration.  The frame also holds the echelon
+of the prefix itself, so the divisor bound c is tested inside the search:
+a candidate column is kept only while the exponent of sat(L)/L for the
+columns L so far divides c, which costs one matrix-vector product, one
+gcd and, when the prefix is imprimitive, one congruence per prefix
+column.  Only admitted X reach `Embedding.build`.  Under the same policy
+each Gram is LLL-reduced once, with its Gram-Schmidt data, for its
+minimum and its vectors of one norm.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Iterator, Sequence
 
-from .matrices import (CACHE_SIZE, GramMatrix, IntMatrix, adjugate,
-                       elementary_divisors, gram_of_columns,
-                       integral_gram_schmidt, invert_unimodular,
-                       is_positive_definite, saturate, smith_normal_form,
-                       solve_integer_columns)
+from .matrices import (CACHE_SIZE, Echelon, GramMatrix, IntMatrix, adjugate,
+                       echelon, gram_of_columns, integral_gram_schmidt,
+                       invert_unimodular, is_positive_definite,
+                       smith_normal_form)
 
 DELTA = Fraction(3, 4)  # LLL parameter
 
@@ -241,14 +241,14 @@ class Embedding:
     def build(cls, S: GramMatrix, T: GramMatrix, X: IntMatrix) -> "Embedding":
         """Verify X^t S X = T and read the imprimitivity data off X.
 
-        With U X V = diag(d), X = U^-1[:, :m] diag(d) V^-1 and U^-1[:, :m]
-        is a basis of the saturation, so the coordinates of X in its
-        saturation have exactly the Smith divisors of X; only the divisors
-        are computed, not U and V.  `find_representations` builds only the
-        X its column search has admitted."""
+        X = B C for a basis B of the saturation of X's span, and B extends
+        to a unimodular basis of Z^n, so X's coordinates C in its
+        saturation have exactly the Smith divisors of X, which are read
+        off X directly.  `find_representations` builds only the X its
+        column search has admitted."""
         if gram_of_columns(S, X).entries != T.entries:
             raise ValueError("X^t S X != T")
-        divisors = elementary_divisors(X)
+        divisors = smith_normal_form(X)
         if len(divisors) != X.cols:
             raise ValueError("X is rank-deficient")
         return cls(X=X, source=T, target=S, elementary_divisors=divisors,
@@ -261,81 +261,34 @@ class Embedding:
                 "imprimitivity_bound": self.imprimitivity_bound}
 
 
-# (E, adj(H), det(H)) for a column prefix P: see _prefix_echelon
-_Echelon = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]
-
-
 @dataclass(frozen=True, slots=True)
 class _KernelFrame:
     """What the column search needs of the prior columns v_j alone.
 
-    With A = (S v_j)^t and U A V = diag(divisors), x^t S v_j = inners[j]
-    has the integer solutions x0 + B y: x0 = V[:, :rank] w for w_i =
-    (U inners)_i / divisors[i], and B = V[:, rank:] times the LLL transform
-    of its Gram Gred.  (d, lam) are the integral Gram-Schmidt data of Gred,
-    and adj = adj(Gred) and D = det(Gred) = d[-1] complete the square.  The
-    kernel fields B, BtS, d, lam and adj are None when A has full column
-    rank.  `echelon` is the prefix's own row echelon (see _prefix_echelon),
-    which the divisor bound of the search reads.  Cached and shared between
-    calls, so every field is immutable."""
+    With E (S v_0 ... S v_{k-1}) = [H; 0] (see matrices.echelon), x = E^t y
+    turns x^t S v_j = inners[j] into H^t y_head = inners, so the integer
+    solutions are x0 + B z: x0 = E_head^t y_head for y_head =
+    adj(H)^t inners / det H when that is integral, and B = the tail rows
+    of E, a basis of the kernel, times the LLL transform of its Gram Gred.
+    (d, lam) are the integral Gram-Schmidt data of Gred, and adj =
+    adj(Gred) and D = det(Gred) = d[-1] complete the square.  The kernel
+    fields B, BtS, d, lam and adj are None when k = n.  `echelon` is the
+    echelon of the prefix v_j itself, which the divisor bound of the
+    search reads.  Cached and shared between calls, so every field is
+    immutable."""
 
-    U: tuple[tuple[int, ...], ...]
-    divisors: tuple[int, ...]  # the rank nonzero Smith divisors of A
-    V: tuple[tuple[int, ...], ...]  # rows of V[:, :rank]
+    head: tuple[tuple[int, ...], ...]  # E_head^t, n rows of k
+    adjt: tuple[tuple[int, ...], ...]  # adj(H)^t
+    h: int  # det(H)
     B: tuple[tuple[int, ...], ...] | None
     BtS: tuple[tuple[int, ...], ...] | None  # B^t S
     d: tuple[int, ...] | None
     lam: tuple[tuple[int, ...], ...] | None
     adj: tuple[tuple[int, ...], ...] | None
-    echelon: _Echelon | None
+    echelon: Echelon
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = x a + y b and g >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
-
-
-def _prefix_echelon(prior: Sequence[tuple[int, ...]], n: int
-                    ) -> _Echelon | None:
-    """(E, adj(H), det(H)) with E unimodular and E P = [H; 0] for the
-    columns P of prior, H upper triangular with positive diagonal; None
-    when P is rank-deficient.  det(H) is the index of P's span in its
-    saturation.  Column k of P is placed by 2x2 extended-gcd steps that
-    fold the entries of E v_k below row k into row k."""
-    if len(prior) > n:
-        return None
-    E = [[int(i == j) for j in range(n)] for i in range(n)]
-    adj: list[list[int]] = []
-    h = 1
-    for k, v in enumerate(prior):
-        w = [sum(map(mul, row, v)) for row in E]
-        for i in range(k + 1, n):
-            if w[i]:
-                g, x, y = _xgcd(w[k], w[i])
-                a, b = w[k] // g, w[i] // g
-                E[k], E[i] = ([x * s + y * t for s, t in zip(E[k], E[i])],
-                              [a * t - b * s for s, t in zip(E[k], E[i])])
-                w[k], w[i] = g, 0
-        g = w[k]
-        if g == 0:
-            return None
-        if g < 0:
-            E[k], g = [-x for x in E[k]], -g
-        # adj([[H, w'], [0, g]]) = [[g adj(H), -adj(H) w'], [0, det H]]
-        aw = [sum(map(mul, row, w[:k])) for row in adj]
-        adj = [[g * x for x in row] + [-y] for row, y in zip(adj, aw)]
-        adj.append([0] * k + [h])
-        h *= g
-    return tuple(map(tuple, E)), tuple(map(tuple, adj)), h
-
-
-def _admits(echelon: _Echelon | None, v: tuple[int, ...], c: int) -> bool:
+def _admits(echelon: Echelon, v: tuple[int, ...], c: int) -> bool:
     """Whether the exponent of sat(L)/L for L = [P v] divides c, given that
     it divides c for the prefix P of `echelon`.
 
@@ -344,8 +297,6 @@ def _admits(echelon: _Echelon | None, v: tuple[int, ...], c: int) -> bool:
     tail, so sat(L)/L is Z^(k+1) / M Z^(k+1) for M = [[H, w'], [0, g]].
     Its exponent divides c iff c M^-1 is integral: g | c and
     (c/g) adj(H) w' = 0 mod det H, as c H^-1 is integral already."""
-    if echelon is None:
-        return False  # a rank-deficient prefix has no full-rank completion
     E, adj, h = echelon
     w = [sum(map(mul, row, v)) for row in E]
     k = len(adj)
@@ -360,23 +311,25 @@ def _admits(echelon: _Echelon | None, v: tuple[int, ...], c: int) -> bool:
 @lru_cache(maxsize=CACHE_SIZE)
 def _kernel_frame(S: GramMatrix, prior: tuple[tuple[int, ...], ...]
                   ) -> _KernelFrame:
-    n = S.n
-    snf = smith_normal_form(IntMatrix(
-        [[sum(map(mul, row, v)) for row in S.entries] for v in prior]))
-    divisors = tuple(d for d in snf.divisors if d != 0)
-    rank = len(divisors)
-    V = tuple(row[:rank] for row in snf.V.entries)
-    echelon = _prefix_echelon(prior, n)
-    if rank == n:
-        return _KernelFrame(snf.U.entries, divisors, V,
-                            None, None, None, None, None, echelon)
-    K = IntMatrix([row[rank:] for row in snf.V.entries])
+    n, k = S.n, len(prior)
+    span = echelon([[sum(map(mul, row, v)) for row in S.entries]
+                    for v in prior], n)
+    if span is None:
+        raise ValueError("the prior columns are linearly dependent")
+    E, adj, h = span
+    head = tuple(col[:k] for col in zip(*E))
+    adjt = tuple(zip(*adj))
+    prefix = echelon(prior, n)
+    if k == n:
+        return _KernelFrame(head, adjt, h, None, None, None, None, None,
+                            prefix)
+    K = IntMatrix.from_columns(E[k:])
     Gred, U, d, lam = _reduced(gram_of_columns(S, K))
     B = K @ U  # the Gram of B's columns is Gred
     BtS = tuple(tuple(sum(map(mul, col, row)) for row in S.entries)
                 for col in B.columns())
-    return _KernelFrame(snf.U.entries, divisors, V, B.entries, BtS,
-                        d, lam, adjugate(Gred)[0], echelon)
+    return _KernelFrame(head, adjt, h, B.entries, BtS, d, lam,
+                        adjugate(Gred)[0], prefix)
 
 
 def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
@@ -384,21 +337,18 @@ def _constrained_candidates(S: GramMatrix, prior: Sequence[tuple[int, ...]],
                             ) -> Iterator[tuple[int, ...]]:
     """All x with x^t S v_j = inners[j] for the prior columns v_j and
     Q(x) = norm, by exact enumeration of the shifted kernel lattice.
+    The v_j must be linearly independent (ValueError otherwise).
 
     Avoids scanning the full norm-`norm` sphere when the linear
     constraints cut it down to a thin slice."""
     f = _kernel_frame(S, tuple(prior))
-    ut = [sum(map(mul, row, inners)) for row in f.U]
-    rank = len(f.divisors)
-    if any(ut[rank:]):
-        return
-    w = []
-    for u, d in zip(ut, f.divisors):
-        q, r = divmod(u, d)
+    y = []
+    for row in f.adjt:
+        q, r = divmod(sum(map(mul, row, inners)), f.h)
         if r:
             return
-        w.append(q)
-    x0 = tuple(sum(map(mul, row, w)) for row in f.V)
+        y.append(q)
+    x0 = tuple(sum(map(mul, row, y)) for row in f.head)
     q0 = S.value(x0)
     if f.d is None:
         if q0 == norm:
@@ -431,7 +381,7 @@ def _column_search(S: GramMatrix, T: GramMatrix,
     that fails has no admissible completion."""
     m = T.n
     chosen = list(fixed)
-    start = _prefix_echelon((), S.n)
+    start = echelon((), S.n)
 
     def extend(k: int) -> Iterator[IntMatrix]:
         if k == m:
@@ -490,33 +440,36 @@ def extend_representation(S: GramMatrix, sigma: Embedding, T_M: GramMatrix,
 
     glue holds the coordinates of R's basis inside M's basis (one column
     per basis vector of R); its Gram under T_M must reproduce sigma's
-    source Gram.
+    source Gram.  T_M must be positive definite and glue of full column
+    rank (ValueError otherwise), so the fixed columns of the search are
+    independent.  The basis of M is adapted to glue by its echelon
+    E glue = [H; 0].
     """
     r = sigma.source.n
     m = T_M.n
     if glue.rows != m or glue.cols != r:
         raise ValueError("glue shape mismatch")
+    if not is_positive_definite(T_M):
+        raise ValueError("T_M must be positive definite")
+    span = echelon(glue.columns(), m)
+    if span is None:
+        raise ValueError("glue is rank-deficient")
     if gram_of_columns(T_M, glue).entries != sigma.source.entries:
         raise ValueError("glue Gram does not match sigma's source")
-    sat = saturate(glue)
-    coords = solve_integer_columns(sat, glue)  # glue = sat @ coords
-    # tau on the saturation basis is forced over Q: xb = sigma.X coords^-1,
-    # which must be integral
-    xbt = solve_integer_columns(coords.transpose(), sigma.X.transpose())
-    if xbt is None:
+    # E glue = [H; 0], so glue = P[:, :r] H for the adapted basis P = E^-1,
+    # whose first r columns are a basis of sat(glue); tau on them is forced
+    # over Q: xb = sigma.X H^-1, which must be integral
+    E, adj, h = span
+    num = sigma.X @ IntMatrix(adj)
+    if any(x % h for row in num.entries for x in row):
         return None
-    xb = xbt.transpose()
-    # complete the saturation basis to a unimodular basis of Z^m
-    snf = smith_normal_form(sat)
-    uinv = invert_unimodular(snf.U)
-    completion = [uinv.column(j) for j in range(r, m)]
-    P = IntMatrix.from_columns([sat.column(j) for j in range(r)] + completion)
+    xb = [tuple(x // h for x in col) for col in num.columns()]
+    P = invert_unimodular(IntMatrix(E))
     Tp = gram_of_columns(T_M, P)  # Gram of M in the adapted basis
-    X_adapted = next(_column_search(S, Tp, fixed=xb.columns()), None)
+    X_adapted = next(_column_search(S, Tp, fixed=xb), None)
     if X_adapted is None:
         return None
-    X = X_adapted @ invert_unimodular(P)
-    tau = Embedding.build(S, T_M, X)
+    tau = Embedding.build(S, T_M, X_adapted @ IntMatrix(E))
     if (tau.X @ glue).entries != sigma.X.entries:
         raise AssertionError("extension does not restrict to sigma")
     return tau

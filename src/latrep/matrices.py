@@ -1,8 +1,9 @@
 """Exact integer linear algebra on symmetric matrices.
 
-Everything here is arbitrary-precision Python ints: every elimination is
-fraction-free (Bareiss), so no Fraction is built.  Floating point is
-forbidden throughout the package because p-adic valuations and
+Everything here is arbitrary-precision Python ints: determinants and
+adjugates are fraction-free (Bareiss), and the echelon and the Smith form
+use integer row and column operations, so no Fraction is built.  Floating
+point is forbidden throughout the package because p-adic valuations and
 determinant signs must be exact.
 """
 
@@ -245,42 +246,20 @@ def is_positive_definite(S: GramMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass(frozen=True, slots=True)
-class SmithForm:
-    """U X V = diag(divisors) with U, V unimodular and d_i | d_{i+1}."""
+def smith_normal_form(X: IntMatrix) -> tuple[int, ...]:
+    """The nonzero Smith divisors d_1 | d_2 | ... of X, all positive.
 
-    divisors: tuple[int, ...]
-    U: IntMatrix
-    V: IntMatrix
-
-
-def _smith_eliminate(a: list[list[int]], u: list[list[int]],
-                     v: list[list[int]]) -> tuple[int, ...]:
-    """Reduce a (r x c, in place) to Smith form and return its r or c
-    diagonal entries; every row operation is also applied to the r rows of
-    u, every column operation to the columns of the rows of v.  With
-    r empty rows for u and no rows for v the transforms cost nothing."""
-    r, c = len(a), len(a[0]) if a else 0
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    Only the divisors are kept: the row and column operations are applied
+    to a copy of X and not recorded."""
+    a = [list(row) for row in X.entries]
+    r, c = X.rows, X.cols
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, f):
-        # row_dst += f * row_src
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
 
     def add_col(dst, src, f):
         for row in a:
-            row[dst] += f * row[src]
-        for row in v:
             row[dst] += f * row[src]
 
     t = 0
@@ -293,21 +272,21 @@ def _smith_eliminate(a: list[list[int]], u: list[list[int]],
                     best = (i, j)
         if best is None:
             break
-        if best[0] != t:
-            swap_rows(t, best[0])
+        a[t], a[best[0]] = a[best[0]], a[t]
         if best[1] != t:
             swap_cols(t, best[1])
         # clear row and column t: reduce every other entry by the rounded
         # quotient q = floor(x/p + 1/2), so it is left with |x| <= |p|/2,
         # then move the smallest nonzero remainder to the pivot and repeat;
-        # the pivot at least halves each pass, which keeps U and V small
+        # the pivot at least halves each pass, which keeps the entries small
         while True:
             p = a[t][t]
             best, where = 0, None
             for i in range(t + 1, r):
                 x = a[i][t]
                 if x:
-                    add_row(i, t, -((2 * x + p) // (2 * p)))
+                    f = -((2 * x + p) // (2 * p))
+                    a[i] = [e + f * y for e, y in zip(a[i], a[t])]
                     x = abs(a[i][t])
                     if x and (where is None or x < best):
                         best, where = x, (i, t)
@@ -321,7 +300,7 @@ def _smith_eliminate(a: list[list[int]], u: list[list[int]],
             if where is None:
                 break
             if where[0] != t:
-                swap_rows(t, where[0])
+                a[t], a[where[0]] = a[where[0]], a[t]
             else:
                 swap_cols(t, where[1])
         # enforce divisibility of the remaining block by the pivot
@@ -335,29 +314,10 @@ def _smith_eliminate(a: list[list[int]], u: list[list[int]],
             if offender is not None:
                 break
         if offender is not None:
-            add_row(t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
-        if pivot < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return tuple(a[i][i] for i in range(min(r, c)))
-
-
-def smith_normal_form(X: IntMatrix) -> SmithForm:
-    r, c = X.rows, X.cols
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    divisors = _smith_eliminate([list(row) for row in X.entries], u, v)
-    return SmithForm(divisors, IntMatrix(u), IntMatrix(v))
-
-
-def elementary_divisors(X: IntMatrix) -> tuple[int, ...]:
-    """Nonzero Smith divisors of X, by the elimination of
-    smith_normal_form without its transforms."""
-    divisors = _smith_eliminate([list(row) for row in X.entries],
-                                [[] for _ in range(X.rows)], [])
-    return tuple(d for d in divisors if d != 0)
+    return tuple(abs(a[i][i]) for i in range(t))
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +351,60 @@ def solve_integer_columns(B: IntMatrix, X: IntMatrix) -> IntMatrix | None:
 
 # ---------------------------------------------------------------------------
 # Hermite form and lattice spans
+
+# (E, adj(H), det(H)) for a set of columns P: see echelon
+Echelon = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def echelon(columns: Sequence[Sequence[int]], n: int) -> Echelon | None:
+    """(E, adj(H), det(H)) with E unimodular and E P = [H; 0] for the
+    k columns P of length n, H upper triangular with positive diagonal;
+    None when P is rank-deficient.
+
+    The first k columns of E^-1 are a basis of the saturation of P's span,
+    in which P has the coordinates H, so det(H) is the index of P's span
+    in its saturation; the last n - k rows of E are a basis of the integer
+    x with x^t P = 0.  Column k of P is placed by 2x2 extended-gcd steps
+    that fold the entries of E v_k below row k into row k (Hermite
+    reduction; Cohen, A Course in Computational Algebraic Number Theory,
+    2.4)."""
+    if len(columns) > n:
+        return None
+    E = [[int(i == j) for j in range(n)] for i in range(n)]
+    adj: list[list[int]] = []
+    h = 1
+    for k, v in enumerate(columns):
+        w = [sum(map(mul, row, v)) for row in E]
+        for i in range(k + 1, n):
+            if w[i]:
+                g, x, y = _xgcd(w[k], w[i])
+                a, b = w[k] // g, w[i] // g
+                E[k], E[i] = ([x * s + y * t for s, t in zip(E[k], E[i])],
+                              [a * t - b * s for s, t in zip(E[k], E[i])])
+                w[k], w[i] = g, 0
+        g = w[k]
+        if g == 0:
+            return None
+        if g < 0:
+            E[k], g = [-x for x in E[k]], -g
+        # adj([[H, w'], [0, g]]) = [[g adj(H), -adj(H) w'], [0, det H]]
+        aw = [sum(map(mul, row, w[:k])) for row in adj]
+        adj = [[g * x for x in row] + [-y] for row, y in zip(adj, aw)]
+        adj.append([0] * k + [h])
+        h *= g
+    return tuple(map(tuple, E)), tuple(map(tuple, adj)), h
+
 
 def column_hnf(M: IntMatrix) -> IntMatrix:
     """Canonical basis (column Hermite form) of the column span of M.
@@ -441,13 +455,11 @@ def saturate(B: IntMatrix) -> IntMatrix:
     B must have full column rank; the result is in column Hermite form,
     so saturation is idempotent on the nose.
     """
-    snf = smith_normal_form(B)
-    rank = sum(1 for d in snf.divisors if d != 0)
-    if rank != B.cols:
+    span = echelon(B.columns(), B.rows)
+    if span is None:
         raise ValueError("B is rank-deficient")
-    uinv = invert_unimodular(snf.U)
-    cols = [uinv.column(j) for j in range(rank)]
-    return column_hnf(IntMatrix.from_columns(cols))
+    P = invert_unimodular(IntMatrix(span[0]))
+    return column_hnf(IntMatrix([row[:B.cols] for row in P.entries]))
 
 
 # ---------------------------------------------------------------------------

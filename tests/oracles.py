@@ -307,6 +307,32 @@ def box_vectors(entries, bound):
     return out
 
 
+def representations_oracle(S, T):
+    """Every X, as a tuple of columns, with X^t S X = T: each column is
+    drawn from the box vectors of its norm and kept when its inner
+    products with the columns before it match T."""
+    n, m = len(S), len(T)
+
+    def inner(x, y):
+        return sum(x[i] * S[i][j] * y[j] for i in range(n) for j in range(n))
+
+    pools = [[xs for xs, q in box_vectors(S, T[k][k]) if q == T[k][k]]
+             for k in range(m)]
+    out = []
+
+    def extend(cols):
+        k = len(cols)
+        if k == m:
+            out.append(tuple(cols))
+            return
+        for x in pools[k]:
+            if all(inner(cols[j], x) == T[j][k] for j in range(k)):
+                extend(cols + [x])
+
+    extend([])
+    return out
+
+
 def box_minimum(entries):
     diag_min = min(entries[i][i] for i in range(len(entries)))
     vecs = box_vectors(entries, diag_min)
@@ -640,6 +666,27 @@ def fraction_det(rows):
             f = a[i][k] / a[k][k]
             a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return int(out)
+
+
+def determinantal_divisors(rows):
+    """The nonzero Smith divisors of an integer matrix from its minors:
+    d_1 ... d_k is the gcd D_k of the k x k minors, each a `fraction_det`,
+    until D_k = 0 at k = rank + 1."""
+    from itertools import combinations
+    from math import gcd
+    r, c = len(rows), len(rows[0])
+    out, prev = [], 1
+    for k in range(1, min(r, c) + 1):
+        g = 0
+        for ri in combinations(range(r), k):
+            for ci in combinations(range(c), k):
+                g = gcd(g, fraction_det([[rows[i][j] for j in ci]
+                                         for i in ri]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
 
 
 def diagonal_invariants(diag):

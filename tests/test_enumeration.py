@@ -5,18 +5,19 @@ from operator import mul
 import pytest
 
 from oracles import (box_minimum, box_vectors, box_vectors_of_norm,
-                     filtered_representations_oracle, fraction_det,
-                     fraction_gram_schmidt, random_pos_def_entries,
-                     reference_lll)
+                     determinantal_divisors, filtered_representations_oracle,
+                     fraction_det, fraction_gram_schmidt,
+                     random_pos_def_entries, reference_lll,
+                     representations_oracle)
 
 from latrep.enumeration import (Embedding, _column_search,
                                 _constrained_candidates, _kernel_frame,
                                 extend_representation,
                                 find_representations,
                                 lattice_minimum, lll_reduce, vectors_of_norm)
-from latrep.matrices import (GramMatrix, IntMatrix, det, elementary_divisors,
-                             gram_of_columns, invert_unimodular,
-                             is_positive_definite, saturate,
+from latrep.matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
+                             invert_unimodular, is_positive_definite,
+                             saturate, smith_normal_form,
                              solve_integer_columns)
 
 rng = random.Random(4242)
@@ -128,13 +129,13 @@ def test_embedding_divisors_match_saturation_route():
             for row in X:
                 row[j] *= f
         X = IntMatrix(X)
-        if len(elementary_divisors(X)) == m:
+        if len(smith_normal_form(X)) == m:
             cases.append(X)
     for X in cases:
         S = GramMatrix.identity(X.rows)
         emb = Embedding.build(S, gram_of_columns(S, X), X)
         coords = solve_integer_columns(saturate(X), X)
-        assert emb.elementary_divisors == elementary_divisors(coords)
+        assert emb.elementary_divisors == smith_normal_form(coords)
         assert emb.imprimitivity_bound == emb.elementary_divisors[-1]
     assert Embedding.build(GramMatrix.identity(3), GramMatrix.diagonal([8]),
                            cases[0]).elementary_divisors == (2,)
@@ -164,11 +165,19 @@ def _inners(S, prior, x):
     return [sum(map(mul, v, Sx)) for v in prior]
 
 
+def _dependent(prior):
+    """Whether the columns in prior are linearly dependent: their Gram
+    under the identity is singular."""
+    return fraction_det([[sum(map(mul, u, v)) for v in prior]
+                         for u in prior]) == 0
+
+
 def test_constrained_candidates_against_box_search():
     """Every x with x^t S v_j = inners[j] and Q(x) = norm, on shifted
-    cosets of rank 2-5, against a filtered box search."""
+    cosets of rank 2-5, against a filtered box search.  Dependent v_j have
+    no kernel frame and raise."""
     draw = random.Random(606)
-    found = 0
+    found = dependent = 0
     for case in range(32):
         n = 2 + case % 4
         S = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
@@ -180,13 +189,18 @@ def test_constrained_candidates_against_box_search():
         inners = _inners(S, prior, x)
         if case % 4 == 3:
             inners[0] += 1  # a coset that may hold nothing
+        if _dependent(prior):
+            with pytest.raises(ValueError):
+                list(_constrained_candidates(S, prior, inners, norm))
+            dependent += 1
+            continue
         got = sorted(_constrained_candidates(S, prior, inners, norm))
         assert got == _box_constrained(S, prior, inners, norm), \
             (S.entries, prior, inners, norm)
         if case % 4 != 3:
             assert tuple(x) in got
         found += len(got)
-    assert found > 32
+    assert found > 28 and dependent == 4
 
 
 def test_constrained_candidates_reuse_cached_frames():
@@ -194,9 +208,10 @@ def test_constrained_candidates_reuse_cached_frames():
     so later queries run on a cached kernel frame: consistent cosets,
     inconsistent inners on a cached frame, and full-rank priors with no
     kernel, against the box search.  Clearing the cache and running the
-    queries in reverse gives the same candidates in the same order."""
+    queries in reverse gives the same candidates in the same order.
+    Queries on dependent priors raise."""
     draw = random.Random(707)
-    queries, empty = [], []
+    queries, empty, dependent = [], [], []
     for case in range(15):
         n = 2 + case % 3
         S = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
@@ -212,14 +227,26 @@ def test_constrained_candidates_reuse_cached_frames():
             x = [draw.randint(-1, 1) for _ in range(n)]
             x[draw.randrange(n)] = draw.choice((1, 2))
             queries.append((S, prior, _inners(S, prior, x), S.value(x)))
-        # a dependent column 2 v: solvable only when its inner product is
-        # even, so the odd query on the cached frame has no solution
+        # a dependent column 2 v next to v
         v = next(v for v in prior if any(v))
         bad = prior + (tuple(2 * c for c in v),)
         good = _inners(S, bad, [1] + [0] * (n - 1))
-        queries.append((S, bad, good, S.entries[0][0]))
-        queries.append((S, bad, good[:-1] + [good[-1] + 1], S.entries[0][0]))
+        dependent.append((S, bad, good, S.entries[0][0]))
+        dependent.append((S, bad, good[:-1] + [good[-1] + 1],
+                          S.entries[0][0]))
+        # v doubled in place: solvable only when its inner product is even,
+        # so the odd query on the cached frame has no solution
+        j = prior.index(v)
+        doubled = prior[:j] + (bad[-1],) + prior[j + 1:]
+        good = _inners(S, doubled, [1] + [0] * (n - 1))
+        queries.append((S, doubled, good, S.entries[0][0]))
+        good[j] += 1
+        queries.append((S, doubled, good, S.entries[0][0]))
         empty.append(len(queries) - 1)
+
+    for q in dependent:
+        with pytest.raises(ValueError):
+            list(_constrained_candidates(*q))
 
     _kernel_frame.cache_clear()
     forward = [list(_constrained_candidates(*q)) for q in queries]
@@ -359,6 +386,85 @@ def test_find_representations_matches_filter_after_build():
     assert {2, 3, 4, 6} <= bounds
 
 
+def _small_target(draw, S, m, scales, cap):
+    """T = X^t S X for a seeded X of m columns with entries in {-1, 0, 1},
+    each column scaled by a draw from scales, redrawn until T is positive
+    definite with diagonal at most cap."""
+    while True:
+        X = [[draw.choice((-1, 0, 0, 1)) for _ in range(m)]
+             for _ in range(S.n)]
+        for j in range(m):
+            f = draw.choice(scales)
+            for row in X:
+                row[j] *= f
+        T = gram_of_columns(S, IntMatrix(X))
+        if is_positive_definite(T) and max(T.entries[i][i]
+                                           for i in range(m)) <= cap:
+            return T
+
+
+def test_find_representations_against_brute_force():
+    """find_representations returns, up to the sign of X, exactly the X of
+    a box search with X^t S X = T whose largest determinantal quotient
+    divides c, with the same divisors: S of rank 3-5, T of rank 1-3,
+    c in {1, 2}."""
+    draw = random.Random(2424)
+    imprimitive = 0
+    for case in range(24):
+        n, m = 3 + case % 3, 1 + case % 3
+        S = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
+        T = _small_target(draw, S, m, (1, 2), 16)
+        brute = {}
+        for cols in representations_oracle(S.entries, T.entries):
+            lead = next(x for x in cols[0] if x)
+            if lead > 0:
+                brute[cols] = determinantal_divisors(
+                    [list(row) for row in zip(*cols)])
+        for c in (1, 2):
+            got = find_representations(S, T, c)
+            expect = sorted(cols for cols, d in brute.items()
+                            if c % d[-1] == 0)
+            assert sorted(tuple(e.X.columns()) for e in got) == expect, \
+                (S.entries, T.entries, c)
+            for e in got:
+                assert e.elementary_divisors == brute[tuple(e.X.columns())]
+        imprimitive += any(d[-1] == 2 for d in brute.values())
+    assert imprimitive > 3
+
+
+def test_extend_representation_against_brute_force():
+    """extend_representation returns a tau exactly when a box search finds
+    an X with X^t S X = T_M and X glue = sigma.X, and tau is one of them:
+    glue of index 1-3 in M, sigma every representation of R (up to 6)."""
+    draw = random.Random(2525)
+    cases = 0
+    outcomes = set()
+    while cases < 20:
+        n, m = 3 + cases % 2, 2 + cases % 2
+        S = GramMatrix(random_pos_def_entries(draw, n, spread=1, bump=2))
+        T_M = _small_target(draw, S, m, (1,), 6)
+        r = draw.randint(1, m)
+        glue = [[draw.randint(-1, 1) for _ in range(r)] for _ in range(m)]
+        divisors = determinantal_divisors(glue)
+        if len(divisors) < r or not 1 <= divisors[-1] <= 3:
+            continue
+        cases += 1
+        glue = IntMatrix(glue)
+        T_R = gram_of_columns(T_M, glue)
+        taus = [IntMatrix.from_columns(cols)
+                for cols in representations_oracle(S.entries, T_M.entries)]
+        sigmas = representations_oracle(S.entries, T_R.entries)
+        for cols in draw.sample(sigmas, min(6, len(sigmas))):
+            sigma = Embedding.build(S, T_R, IntMatrix.from_columns(cols))
+            expect = [X for X in taus if X @ glue == sigma.X]
+            tau = extend_representation(S, sigma, T_M, glue)
+            assert (tau is None) == (not expect), \
+                (S.entries, T_M.entries, glue.entries, cols)
+            assert tau is None or tau.X in expect
+            outcomes.add((tau is None, divisors[-1]))
+    assert {(False, 1), (False, 2), (True, 2)} <= outcomes
+
+
 def test_find_representations_respects_divisor_filter():
     S = GramMatrix.identity(3)
     for t, c, expect_any in [(4, 1, False), (4, 2, True), (9, 1, True)]:
@@ -420,6 +526,23 @@ def test_extend_representation_nontrivial_glue():
         if t is not None:
             assert (t.X @ glue).entries == s.X.entries
             assert gram_of_columns(S, t.X).entries == T_M.entries
+
+
+def test_extend_representation_rejects_bad_input():
+    """An indefinite or singular T_M and a rank-deficient glue are input
+    errors, not a failed extension."""
+    S = GramMatrix.identity(3)
+    sigma = Embedding.build(S, GramMatrix.diagonal([1]),
+                            IntMatrix([[1], [0], [0]]))
+    for T_M in ([[1, 0], [0, -1]], [[1, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="positive definite"):
+            extend_representation(S, sigma, GramMatrix(T_M),
+                                  IntMatrix([[1], [0]]))
+    sigma = Embedding.build(S, GramMatrix.identity(2),
+                            IntMatrix([[1, 0], [0, 1], [0, 0]]))
+    with pytest.raises(ValueError, match="glue is rank-deficient"):
+        extend_representation(S, sigma, GramMatrix.identity(2),
+                              IntMatrix([[1, 2], [0, 0]]))
 
 
 def test_extend_representation_unimodular_glue():

@@ -8,9 +8,8 @@ from oracles import (complement_isotropic_oracle, draw_local_instance,
 from latrep.localrep import (NOT_REPRESENTABLE, REPRESENTABLE, UNDECIDED,
                              _smith_valuations, auto_isotropy_shortcut,
                              represents_locally_everywhere, represents_over_Zp)
-from latrep.matrices import (GramMatrix, IntMatrix, det, elementary_divisors,
-                             gram_of_columns, is_positive_definite,
-                             smith_normal_form)
+from latrep.matrices import (GramMatrix, IntMatrix, det, gram_of_columns,
+                             is_positive_definite, smith_normal_form)
 from latrep.padic import (Place, REAL, complement_isotropic, ord_p,
                           space_invariants)
 
@@ -89,7 +88,8 @@ def test_refutation_without_global_path():
 
 def test_smith_valuations_match_integer_smith_form():
     """Valuations by elimination over Z/p^k against the integer Smith form,
-    capped at k with a zero divisor read as k."""
+    capped at k with a zero divisor read as k: the nonzero divisors are
+    padded to min(rows, cols) with k."""
     draw = random.Random(5551)
     for trial in range(400):
         p, k = draw.choice((2, 3, 5)), draw.randint(1, 6)
@@ -109,8 +109,9 @@ def test_smith_valuations_match_integer_smith_form():
             j = draw.randrange(m)
             cols[j] = [pk * draw.randint(-3, 3) for _ in range(n)]
         X = IntMatrix.from_columns(cols)
-        expect = tuple(k if d == 0 else min(ord_p(d, p), k)
-                       for d in smith_normal_form(X).divisors)
+        divisors = smith_normal_form(X)
+        expect = tuple(min(ord_p(d, p), k) for d in divisors) + \
+            (k,) * (min(n, m) - len(divisors))
         assert _smith_valuations(cols, p, k) == expect, (cols, p, k)
     assert _smith_valuations([[0, 0, 0], [0, 0, 0]], 3, 4) == (4, 4)
     assert _smith_valuations([[8, 4], [0, 16]], 2, 3) == (2, 3)
@@ -120,8 +121,8 @@ def test_smith_valuations_match_integer_smith_form():
     for p, k, col, expect in [(3, 4, [0, 0, 0], 4), (2, 5, [8, -12, 0, 40], 2),
                               (5, 3, [250, -125, 0], 3),
                               (2, 2, [8, -16, 24], 2)]:
-        divisor, = smith_normal_form(IntMatrix.from_columns([col])).divisors
-        assert (min(ord_p(divisor, p), k) if divisor else k) == expect
+        divisors = smith_normal_form(IntMatrix.from_columns([col]))
+        assert (min(ord_p(divisors[0], p), k) if divisors else k) == expect
         assert _smith_valuations([col], p, k) == (expect,)
 
 
@@ -151,7 +152,7 @@ def test_witness_mod_pN_is_a_solution():
         # the valuations come from the last column's prune at precision
         # ord_p(c) + 1; they must be those of the witness's own divisors
         assert cert.divisor_valuations == tuple(
-            ord_p(d, p) for d in elementary_divisors(cert.witness))
+            ord_p(d, p) for d in smith_normal_form(cert.witness))
     assert searched > 200
 
 
@@ -170,7 +171,7 @@ def test_imprimitive_witness_valuations_in_draws():
         if cert.method != "search" or not cert.representable:
             continue
         assert cert.divisor_valuations == tuple(
-            ord_p(d, p) for d in elementary_divisors(cert.witness))
+            ord_p(d, p) for d in smith_normal_form(cert.witness))
         imprimitive += any(cert.divisor_valuations)
     assert imprimitive > 0
 
@@ -186,7 +187,7 @@ def test_witness_valuations_pinned(S, T, p, c, expect):
     assert cert.method == "search" and cert.representable
     assert cert.divisor_valuations == expect
     assert tuple(ord_p(d, p)
-                 for d in elementary_divisors(cert.witness)) == expect
+                 for d in smith_normal_form(cert.witness)) == expect
 
 
 def test_node_budget_gives_undecided():

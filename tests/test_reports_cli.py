@@ -461,6 +461,21 @@ def test_cli_extend(capsys, tmp_path, i4):
     assert code == 1
 
 
+def test_cli_extend_rejects_indefinite_target(capsys, tmp_path):
+    """An indefinite T_M is an input error (exit 2), not a failed
+    extension (exit 1)."""
+    i3 = write_gram(tmp_path, "i3.json", GramMatrix.identity(3).entries)
+    t = write_gram(tmp_path, "m.json", [[1, 0], [0, -1]])
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text("[[1], [0], [0]]")
+    glue = tmp_path / "glue.json"
+    glue.write_text("[[1], [0]]")
+    code, out = run_cli(capsys, "extend", "--gram", i3, "--target", t,
+                        "--sigma", str(sigma), "--glue", str(glue))
+    assert code == 2
+    assert out == ""
+
+
 def test_cli_input_errors(capsys, tmp_path, i4):
     code = main(["invariants", "--gram", str(tmp_path / "missing.json")])
     assert code == 2
